@@ -1,7 +1,8 @@
 # Convenience targets for the repro library.
 
 .PHONY: install test lint ci bench bench-smoke bench-gate bench-baseline \
-	chaos crash serve-bench experiments experiments-full examples
+	chaos crash serve-bench perfbench-selftest experiments experiments-full \
+	examples
 
 install:
 	pip install -e . || python setup.py develop
@@ -33,7 +34,7 @@ bench:
 # The 1k smoke configuration the CI gate compares against its baseline.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_update_hotpath.py \
-		--sizes 1000 --ops 45 --no-legacy --out BENCH_smoke.json
+		--sizes 1000 --ops 45 --out BENCH_smoke.json
 
 # CI regression gate: calibrated medians within +/-30%, ledger counters
 # exact.  See docs/OBSERVABILITY.md for how to read a failure.
@@ -73,6 +74,13 @@ serve-bench:
 		--clients 1,8,64 --ops 40 --out BENCH_service.json
 	PYTHONPATH=src python benchmarks/bench_service.py \
 		--fault-lane --ops 30 --out BENCH_service_faults.json
+
+# Self-test of the repo benchmark (BENCHMARK.json, perfbench/): tiny
+# untraced and traced runs of every workload must pass its correctness
+# gate and emit every declared metric, and a run with a dropped op must
+# fail.  Takes about two minutes.  See perfbench/README.md.
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 # Regenerate the checked-in baseline after an *intentional* change to
 # the update path's work profile; justify the refresh in the commit.

@@ -24,7 +24,7 @@ Compares a fresh ``bench_update_hotpath.py`` run against the checked-in
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_update_hotpath.py \
-        --sizes 1000 --ops 45 --no-legacy --out BENCH_smoke.json
+        --sizes 1000 --ops 45 --out BENCH_smoke.json
     python benchmarks/bench_gate.py BENCH_smoke.json \
         benchmarks/baseline_smoke.json            # exit 1 on regression
     python benchmarks/bench_gate.py BENCH_smoke.json \
@@ -64,8 +64,9 @@ FAIL = "FAIL"
 def load_entries(payload: dict) -> dict:
     """Gate-relevant view of a bench_update_hotpath JSON payload.
 
-    Keyed ``"<scheme>@<n>"``; legacy-mode configs are ignored (they
-    re-create seed behaviour on purpose and prove nothing about HEAD).
+    Keyed ``"<scheme>@<n>"``; only ``optimized`` configs count —
+    ``refcodec`` ones time the per-bit reference codec on purpose and
+    prove nothing about HEAD.
     """
     entries = {}
     for config in payload.get("configs", []):

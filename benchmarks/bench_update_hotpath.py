@@ -2,24 +2,21 @@
 
 The seed implementation found a node's document-order position with
 ``list.index`` — an O(N) scan — on *every* insert, delete and move, and
-rebuilt the page store's byte-offset array on every splice.  This bench
-quantifies the fix: with the order-statistic tree the per-update time
-should be nearly flat in N (the acceptance bar is "N=100k within 3x of
-N=1k"), while the re-created legacy behaviour degrades linearly.
+rebuilt the page store's byte-offset array on every splice.  With the
+order-statistic tree the per-update time should be nearly flat in N
+(the acceptance bar is "N=100k within 3x of N=1k").  The speedup over
+the seed's O(N) behaviour (43–76x at N=100k) is on record in
+``BENCH_updates.json``; this bench times the code as it stands.
 
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_update_hotpath.py \
         --sizes 1000,10000,100000 --ops 200 --out BENCH_updates.json
 
-Two modes per (scheme, size) configuration:
-
-* ``optimized`` — the code as it stands (treap-backed order index,
-  hint-based child lookup, Fenwick-style page offsets).
-* ``legacy`` — the same workload with the seed's O(N) behaviour
-  re-created: a plain-list order index and a linear-scan child lookup.
-  (The page store keeps its O(log N) offsets even in legacy mode, so
-  the reported speedups *understate* the real win over the seed.)
+Every timed configuration runs in ``optimized`` mode (treap-backed
+order index, hint-based child lookup, Fenwick-style page offsets); the
+full sweep adds ``refcodec`` configurations, the same workload on the
+per-bit reference codec.
 """
 
 from __future__ import annotations
@@ -49,59 +46,6 @@ DEFAULT_SCHEMES = (
     "CDBS(UTF8)-Prefix",
 )
 OP_KINDS = ("insert", "delete", "move")
-
-
-class _LegacyOrderList(list):
-    """The seed's list-backed order index, wearing the new API.
-
-    ``position`` is the O(N) identity scan ``list.index`` performed;
-    ``insert_run``/``delete_run`` are the O(N) slice splices the seed's
-    ``register_subtree``/``unregister_subtree`` did inline.
-    """
-
-    def position(self, item):
-        for i, candidate in enumerate(self):
-            if candidate is item:
-                return i
-        raise ValueError("item not in sequence")
-
-    index = position
-
-    def insert_run(self, position, items, weights=None):
-        self[position:position] = list(items)
-
-    def delete_run(self, position, count):
-        removed = self[position : position + count]
-        del self[position : position + count]
-        return removed
-
-    def iter_from(self, position):
-        return iter(self[position:])
-
-
-def _legacy_index_of_child(self, child):
-    """The seed's ``parent.children.index(target)`` linear scan."""
-    for i, candidate in enumerate(self.children):
-        if candidate is child:
-            return i
-    raise ValueError("node is not a child of this element")
-
-
-def _legacy_rebuild_order(self):
-    """``LabeledDocument.rebuild_order`` producing a plain list.
-
-    Relabel storms (F-CDBS overflow) rebuild the order index from
-    scratch; without this patch a legacy run would silently swap its
-    list shim back for the optimized tree on the first storm.
-    """
-    from repro.xmltree import NodeKind
-
-    self.nodes_in_order = _LegacyOrderList(self.document.pre_order())
-    self.tag_index = {}
-    self._tag_bytes_cache = {}
-    for node in self.nodes_in_order:
-        if node.kind is NodeKind.ELEMENT:
-            self.tag_index.setdefault(node.name, []).append(node)
 
 
 def _build_labeled(scheme_name: str, size: int, seed: int):
@@ -150,7 +94,6 @@ def _run_workload(
     size: int,
     ops: int,
     *,
-    legacy: bool,
     seed: int = 7,
     obs_pass: bool = False,
 ):
@@ -163,23 +106,15 @@ def _run_workload(
     instrumentation never inflates the numbers the gate compares.
     """
     labeled = _build_labeled(scheme_name, size, seed)
-    labeled_cls = type(labeled)
-    node_cls = Node
-    saved_index_of_child = node_cls.index_of_child
-    saved_rebuild_order = labeled_cls.rebuild_order
-    if legacy:
-        labeled.nodes_in_order = _LegacyOrderList(labeled.nodes_in_order)
-        node_cls.index_of_child = _legacy_index_of_child
-        labeled_cls.rebuild_order = _legacy_rebuild_order
+    engine = UpdateEngine(labeled, with_storage=True)
+    rng = random.Random(seed * 31 + size)
+    per_kind = {kind: [] for kind in OP_KINDS}
+    relabel_ops = 0
+    counter = 0
+    if obs_pass:
+        OBS.reset()
+        OBS.enabled = True
     try:
-        engine = UpdateEngine(labeled, with_storage=True)
-        rng = random.Random(seed * 31 + size)
-        per_kind = {kind: [] for kind in OP_KINDS}
-        relabel_ops = 0
-        counter = 0
-        if obs_pass:
-            OBS.reset()
-            OBS.enabled = True
         for step in range(ops):
             kind = OP_KINDS[step % len(OP_KINDS)]
             if kind == "insert":
@@ -207,20 +142,18 @@ def _run_workload(
     finally:
         if obs_pass:
             OBS.enabled = False
-        node_cls.index_of_child = saved_index_of_child
-        labeled_cls.rebuild_order = saved_rebuild_order
     if obs_pass:
         return {
             "scheme": scheme_name,
             "n": size,
-            "mode": "legacy" if legacy else "optimized",
+            "mode": "optimized",
             "obs": bench_section(OBS),
         }
     samples = [t for times in per_kind.values() for t in times]
     return {
         "scheme": scheme_name,
         "n": size,
-        "mode": "legacy" if legacy else "optimized",
+        "mode": "optimized",
         "ops": len(samples),
         # F-CDBS occasionally overflows its fixed code length and
         # re-labels a whole suffix (the paper's Table 4 behaviour);
@@ -342,7 +275,6 @@ def _refcodec_configs(sizes, ops, schemes):
                 str(ops),
                 "--schemes",
                 ",".join(schemes),
-                "--no-legacy",
                 "--no-obs",
                 "--no-durability",
                 "--no-refcodec",
@@ -412,7 +344,6 @@ def run_bench(
     ops: int = 200,
     schemes=DEFAULT_SCHEMES,
     *,
-    with_legacy: bool = True,
     with_obs: bool = True,
     with_durability: bool = True,
     with_refcodec: bool = False,
@@ -420,22 +351,15 @@ def run_bench(
     configs = []
     for scheme_name in schemes:
         for size in sizes:
-            config = _run_workload(scheme_name, size, ops, legacy=False)
+            config = _run_workload(scheme_name, size, ops)
             if with_obs:
                 # Second, identically-seeded pass with the registry on:
                 # deterministic ledger counters for the CI gate, without
                 # instrumentation overhead leaking into the timed pass.
                 config["obs"] = _run_workload(
-                    scheme_name, size, ops, legacy=False, obs_pass=True
+                    scheme_name, size, ops, obs_pass=True
                 )["obs"]
             configs.append(config)
-            if with_legacy:
-                # The legacy mode pays O(N) per op; cap its trace at the
-                # large sizes so the bench finishes in minutes.
-                legacy_ops = ops if size <= 10_000 else max(30, ops // 5)
-                configs.append(
-                    _run_workload(scheme_name, size, legacy_ops, legacy=True)
-                )
     ref_microbench = None
     if with_refcodec:
         # One subprocess covers every (scheme, largest size) cell: the
@@ -476,12 +400,8 @@ def run_bench(
         ):
             small = _stat(scheme_name, smallest, "optimized", key)
             large = _stat(scheme_name, largest, "optimized", key)
-            legacy_large = _stat(scheme_name, largest, "legacy", key)
             entry[f"{stat}_scaling_{largest}_vs_{smallest}"] = (
                 large / small if small and large else None
-            )
-            entry[f"{stat}_speedup_vs_legacy_at_{largest}"] = (
-                legacy_large / large if large and legacy_large else None
             )
         if with_refcodec:
             # Sanity cross-check, NOT the headline: single-node insert
@@ -553,11 +473,6 @@ def main(argv=None) -> int:
         help="comma-separated scheme names",
     )
     parser.add_argument(
-        "--no-legacy",
-        action="store_true",
-        help="skip the re-created O(N) baseline runs",
-    )
-    parser.add_argument(
         "--no-obs",
         action="store_true",
         help="skip the obs counter pass (no embedded metric snapshots)",
@@ -595,7 +510,6 @@ def main(argv=None) -> int:
         sizes,
         args.ops,
         schemes,
-        with_legacy=not args.no_legacy,
         with_obs=not args.no_obs,
         with_durability=not args.no_durability,
         with_refcodec=with_refcodec,

@@ -821,10 +821,10 @@ class _FunctionWalker:
     def _expression(self, node: ast.expr) -> None:
         """Collect calls, call-mutations and durable events in order.
 
-        Lambda bodies are *not* pruned: a deferred call like the
-        engine's ``txn.on_commit(lambda: self._commit_wal(...))`` still
-        contributes a call edge from the enclosing function, which is
-        how the commit hook becomes reachable in the graph.
+        Lambda bodies are *not* pruned: a deferred call like
+        ``callbacks.append(lambda: self._flush(...))`` still contributes
+        a call edge from the enclosing function, which is how a
+        registered callback becomes reachable in the graph.
         """
         for child in ast.walk(node):
             if isinstance(child, ast.Call):

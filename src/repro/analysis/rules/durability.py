@@ -6,9 +6,9 @@ PR-5's durability argument has three statically checkable clauses:
    replacement, checkpoint bundle writes, truncation, unlink) on an
    engine-reachable code path may only live in the sanctioned modules
    (:data:`~repro.analysis.layers.DURABLE_ALLOWED_MODULE_PREFIXES`) —
-   everything else must route through the ``_CommitScope`` /
-   ``WalManager`` protocol, or fsync success stops being the single
-   durability point.
+   everything else must route through the engine's commit group and
+   the ``WalManager`` stage/flush protocol, or fsync success stops
+   being the single durability point.
 2. **Ordering.**  Within one function, a checkpoint *write* must
    precede the log *truncate* — the crash-safety pairing of
    ``WalManager.checkpoint``.  The real calls and the ``FAULTS.hit``

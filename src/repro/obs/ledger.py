@@ -115,7 +115,16 @@ COST_UNITS: dict[str, tuple[str, str]] = {
     ),
     "wal.fsyncs": (
         "fsyncs",
-        "explicit durability barriers (one per commit)",
+        "explicit durability barriers (one per group commit; a "
+        "standalone op is a group of one)",
+    ),
+    "wal.batches": (
+        "batches",
+        "group commits flushed to the log",
+    ),
+    "wal.batch_commits": (
+        "records",
+        "redo records the flushed group commits carried",
     ),
     "wal.checkpoints": (
         "checkpoints",

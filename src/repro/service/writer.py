@@ -4,9 +4,11 @@ Every mutation of a served document flows through exactly one
 :class:`DocumentWriter`.  Client threads :meth:`~DocumentWriter.submit`
 an update spec and receive a future; the writer thread drains the queue
 in batches and applies each batch inside
-:meth:`~repro.updates.UpdateEngine.commit_group`, so the whole batch
-shares a single WAL ``flush`` + ``os.fsync``.  The acknowledgement
-protocol is the durability contract:
+:meth:`~repro.updates.UpdateEngine.commit_group` — the engine's one
+commit path, which a standalone op takes as a group of one — so the
+whole batch shares a single WAL ``flush`` + ``os.fsync``, and the due
+checkpoint runs only after the acks.  The acknowledgement protocol is
+the durability contract:
 
 * a future resolves (with its LSN and receipts) **only after** the
   batch fsync returned — an acked commit is on disk, always;
@@ -138,9 +140,9 @@ class DocumentWriter:
     """Single-writer commit queue with group commit for one document.
 
     Args:
-        engine: the document's update engine.  With ``durability="wal"``
-            batches run under :meth:`UpdateEngine.commit_group`; without
-            a WAL the batching still serializes writers and publishes
+        engine: the document's update engine.  Batches run under
+            :meth:`UpdateEngine.commit_group` either way; without a WAL
+            the batching still serializes writers and publishes
             snapshots, there is just nothing to fsync (and nothing to
             recover from — a crash without a WAL is permanent).
         max_batch: the most queued requests one batch may coalesce.
@@ -550,33 +552,25 @@ class DocumentWriter:
         engine = self.engine
         outcomes: list[_Outcome] = []
         try:
-            if engine.wal is not None:
-                # Checkpointing is deferred past the acks below: a
-                # checkpoint truncates the log, and the log must retain
-                # every request_id frame whose ack hasn't gone out yet
-                # (they rebuild the dedup table if we die first).
-                with engine.commit_group(defer_checkpoint=True) as group:
-                    self._apply_requests(requests, outcomes)
-                receipts = list(group.receipts)
-                batch = group.batch
-            else:
+            with engine.commit_group() as group:
                 self._apply_requests(requests, outcomes)
-                receipts = [None] * len(outcomes)
-                batch = None
         except BaseException as error:
             self._quarantine(error, requests)
             raise
         try:
-            self._acknowledge(outcomes, receipts, batch)
-            if engine.wal is not None:
-                engine.wal.maybe_checkpoint()
+            self._acknowledge(outcomes, group.receipts, group.batch)
+            # Only now, after the acks: a checkpoint truncates the log,
+            # and the log must retain every request_id frame whose ack
+            # hasn't gone out yet (they rebuild the dedup table if we
+            # die first).
+            engine.maybe_checkpoint()
         except BaseException as error:
             # A crash between the batch fsync and the acks (e.g. the
             # service.dedup fault site) leaves the batch durable but
             # *unacked*: recovery includes it and retried request_ids
-            # dedup.  A crash in the deferred checkpoint lands even
-            # later — after the acks — so clients saw their results;
-            # either way the document quarantines and heals in place.
+            # dedup.  A crash in the checkpoint lands even later — after
+            # the acks — so clients saw their results; either way the
+            # document quarantines and heals in place.
             self._quarantine(error, requests)
             raise
 
@@ -598,15 +592,14 @@ class DocumentWriter:
             if expired is not None:
                 outcomes.append(_Outcome(request, error=expired))
                 continue
-            if engine.wal is not None:
-                # Tag (or clear) the idempotency key the next commit's
-                # WAL record will carry.
-                engine.stage_request_id(rid)
+            # Tag (or clear) the idempotency key the next commit's WAL
+            # record will carry.
+            engine.stage_request_id(rid)
             try:
                 result = self._apply(op)
             except (ServiceError, UpdateAborted, ValueError) as error:
-                # This request's own failure: nothing of it was logged
-                # (aborts roll back before the commit hook), the rest of
+                # This request's own failure: nothing of it was staged
+                # (staging is a transaction's last step), the rest of
                 # the batch is unaffected.
                 outcomes.append(_Outcome(request, error=error))
             else:

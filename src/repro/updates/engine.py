@@ -14,6 +14,13 @@ delta for the individual update — the per-op view of the same numbers
 ``UpdateStats`` aggregates — and the engine cross-charges the stats
 fields as ``engine.*`` units so ledger and hand-maintained counters can
 be reconciled in tests.
+
+Every commit is a group commit.  :meth:`UpdateEngine.commit_group` runs
+N ops, each its own transaction that stages one WAL redo record as its
+last step, behind a single flush + fsync at the block's close.  A
+standalone op is a group of one: it opens its own group, so its record
+takes the same stage/flush path and its result carries that flush's
+cost.
 """
 
 from __future__ import annotations
@@ -56,58 +63,15 @@ class UpdateResult:
         return self.processing_seconds + self.io_seconds
 
 
-class _CommitScope:
-    """Carries the WAL commit receipt across the transaction boundary.
-
-    The op body builds its :class:`UpdateResult` *inside* the atomic
-    block, but the WAL write happens at the commit point — during the
-    transaction's ``__exit__``, after the body returned.  The scope is
-    how the durability cost still reaches the result: the commit hook
-    drops the receipt here, and :meth:`absorb` (called after the block)
-    folds its io-seconds and cost units into the frozen result.
-    """
-
-    __slots__ = ("receipt",)
-
-    def __init__(self) -> None:
-        self.receipt = None
-
-    def absorb(self, result: UpdateResult) -> UpdateResult:
-        receipt = self.receipt
-        if receipt is None:
-            return result
-        costs = result.costs
-        if costs is not None:
-            costs = dict(costs)
-            for unit, amount in receipt.charges.items():
-                costs[unit] = costs.get(unit, 0) + amount
-        return replace(
-            result,
-            io_seconds=result.io_seconds + receipt.io_seconds,
-            costs=costs,
-        )
-
-
-class _NullScope:
-    """No-op scope: durability off, or a nested (joined) transaction."""
-
-    __slots__ = ()
-
-    def absorb(self, result: UpdateResult) -> UpdateResult:
-        return result
-
-
-_NULL_SCOPE = _NullScope()
-
-
 class GroupCommitScope:
     """What one :meth:`UpdateEngine.commit_group` block committed.
 
     ``receipts`` holds one entry per transaction committed inside the
     group, in commit order — a :class:`~repro.wal.CommitReceipt` (no
     fsync charge; the batch pays it), or ``None`` for an op that staged
-    nothing.  ``batch`` is filled at block exit, after the single
-    coalesced fsync returned; until then nothing in the group may be
+    nothing; without a WAL it stays empty.  ``batch`` is filled at block
+    exit, after the single coalesced fsync returned (``None`` when the
+    group staged nothing); until then nothing in the group may be
     acknowledged as durable.
     """
 
@@ -136,9 +100,11 @@ class UpdateEngine:
         durability: ``"off"`` (default — in-memory atomicity only, zero
             WAL overhead) or ``"wal"`` — every committed operation is
             appended to a write-ahead log and fsync'd before the call
-            returns; :func:`repro.wal.recover` rebuilds the state after
-            a crash.  The fsync cost lands in ``UpdateResult.io_seconds``
-            and its ``wal.*`` units in ``UpdateResult.costs``.
+            (or its :meth:`commit_group`) returns;
+            :func:`repro.wal.recover` rebuilds the state after a crash.
+            A standalone op's fsync cost lands in
+            ``UpdateResult.io_seconds`` and its ``wal.*`` units in
+            ``UpdateResult.costs``.
         wal_dir: the log directory (required for ``durability="wal"``
             unless ``wal`` is given); reopening an existing directory
             resumes its LSN lineage.
@@ -199,35 +165,37 @@ class UpdateEngine:
     # -- transactions --------------------------------------------------------
 
     @contextmanager
-    def _atomic(self, op: str) -> Iterator["_CommitScope | _NullScope"]:
-        """Run one public operation as a transaction; yields its scope.
+    def _atomic(self, op: str) -> Iterator[GroupCommitScope | None]:
+        """Run one public operation as a transaction; yields its group.
 
         Nested calls (``move_before`` runs ``delete`` + ``insert_before``)
         join the outermost transaction rather than opening their own, so
-        a failure in the second half unwinds the first half too.  Any
-        failure inside the body surfaces as
+        a failure in the second half unwinds the first half too; they
+        yield ``None``.  Any failure inside the body surfaces as
         :class:`~repro.errors.UpdateAborted` after the undo log, the
         ledger and ``self.totals`` are back to their pre-op state.
 
-        With ``durability="wal"`` the outermost transaction gains a
-        commit hook that appends + fsyncs one redo record built from the
-        sub-ops the body staged (``_wal_pending``).  The hook failing —
-        including an injected crash at the append/fsync sites — aborts
-        the whole operation, so "acknowledged" and "durable" coincide.
-        A due checkpoint runs *after* the transaction: its failure can
-        no longer un-commit the op (the record is already fsync'd).
+        The transaction's last step stages the op's redo record (built
+        from the sub-ops the body put in ``_wal_pending``) in the open
+        commit group, so a staging failure aborts the op like any other.
+        A standalone op is a group of one: the group's close flushes the
+        record, and a due checkpoint runs after that, where its failure
+        can no longer un-commit the op.
         """
         if self._txn_depth:
-            yield _NULL_SCOPE
+            yield None
+            return
+        if self._group is None:
+            with self.commit_group() as group, self._atomic(op):
+                yield group
+            self.maybe_checkpoint()
             return
         self._txn_depth += 1
         totals_before = self.totals
-        scope = _NULL_SCOPE if self.wal is None else _CommitScope()
         try:
-            with Transaction(op, self.labeled, self.store) as txn:
-                if self.wal is not None:
-                    txn.on_commit(lambda: self._commit_wal(op, scope))
-                yield scope
+            with Transaction(op, self.labeled, self.store):
+                yield self._group
+                self._stage(op)
         except BaseException:
             # UpdateStats is replaced (merge returns a new instance),
             # never mutated, so the captured reference is a snapshot.
@@ -237,89 +205,101 @@ class UpdateEngine:
             raise
         finally:
             self._txn_depth -= 1
-        if self.wal is not None and self._group is None:
-            # Inside a commit group the checkpoint is deferred to the
-            # group's end: a bundle must never cover records that are
-            # still sitting in the volatile batch buffer.
-            self.wal.maybe_checkpoint()
 
     @contextmanager
-    def commit_group(
-        self, *, defer_checkpoint: bool = False
-    ) -> Iterator[GroupCommitScope]:
+    def commit_group(self) -> Iterator[GroupCommitScope]:
         """Coalesce the ops in this block into one WAL fsync (group commit).
 
-        The service's per-document writer drains its commit queue
-        through this: each op still runs as its own atomic transaction
-        (an abort rolls back that op alone and logs nothing), but the
-        commit records only reach the volatile WAL buffer — the single
-        ``flush`` + ``os.fsync`` happens once, at block exit.  Only
-        after that returns is *any* op in the group durable, which is
-        why the caller must acknowledge queued commits strictly after
-        the block, using the yielded scope's receipts.
+        Each op still runs as its own atomic transaction (an abort rolls
+        back that op alone and stages nothing), but its record only
+        reaches the volatile WAL buffer — the single ``flush`` +
+        ``os.fsync`` happens once, at block exit.  Only after that
+        returns is *any* op in the group durable, which is why the
+        caller must acknowledge the group's commits strictly after the
+        block, using the yielded scope's receipts.  Without a WAL the
+        block still groups the ops and collects nothing.
 
-        Due checkpoints run after the batch fsync (never inside it).
-        With ``defer_checkpoint`` the caller takes over even that: the
-        block exits without checkpointing and the caller runs
-        ``wal.maybe_checkpoint()`` itself once its acknowledgements are
-        out.  The service's writer needs this ordering because a
-        checkpoint *truncates the log* — running it before the acks
-        could destroy the ``request_id`` frames of a durable-but-unacked
-        batch, exactly the frames crash recovery must rebuild the
-        retry-dedup table from.
+        The block never checkpoints; the caller runs
+        :meth:`maybe_checkpoint` once its acknowledgements are out.  The
+        service's writer needs that ordering because a checkpoint
+        *truncates the log* — running it before the acks could destroy
+        the ``request_id`` frames of a durable-but-unacked batch,
+        exactly the frames crash recovery rebuilds the retry-dedup table
+        from.
 
         If the block body — or the batch fsync itself — raises, the
-        staged records are abandoned un-flushed: the in-memory document
-        may then be ahead of the log, so the caller must treat the
-        document as failed (the service quarantines it; the crash
-        matrix recovers from disk, which holds exactly the
-        acknowledged prefix).
+        staged records are lost and the error propagates unwrapped: the
+        in-memory document may be ahead of the log, so the WAL refuses
+        further commits until the directory is recovered (the service
+        quarantines the document and heals it from disk, which holds
+        exactly the acknowledged prefix).
         """
-        if self.wal is None:
-            raise ValueError("commit_group() requires durability='wal'")
         if self._group is not None:
             raise RuntimeError("a commit group is already open")
-        self.wal.begin_batch()
         group = GroupCommitScope()
         self._group = group
         try:
             yield group
-            group.batch = self.wal.end_batch()
+            if self.wal is not None:
+                group.batch = self.wal.end_batch()
         except BaseException:
-            self.wal.abandon_batch()
+            if self.wal is not None:
+                self.wal.abandon_batch()
             raise
         finally:
             self._group = None
-        if not defer_checkpoint:
+
+    def maybe_checkpoint(self) -> None:
+        """Checkpoint the WAL if its K-commits / B-bytes policy is due."""
+        if self.wal is not None:
             self.wal.maybe_checkpoint()
 
     def stage_request_id(self, request_id: "str | None") -> None:
         """Tag the *next* committed operation's WAL record with a client
         idempotency key.
 
-        Consumed (and cleared) by the commit hook of the next operation
-        that logs a record; cleared without effect if that operation
-        aborts or stages nothing.  The service's writer sets this right
-        before each queued op so a retried ``request_id`` can be matched
-        against the durable log after a crash.
+        Consumed (and cleared) by the next operation's commit; cleared
+        without effect if that operation aborts or stages nothing.  The
+        service's writer sets this right before each queued op so a
+        retried ``request_id`` can be matched against the durable log
+        after a crash.
         """
         self._pending_request_id = request_id
 
-    def _commit_wal(self, op: str, scope: "_CommitScope") -> None:
-        """The transaction's commit hook: log the staged sub-ops."""
-        subops = self._wal_pending
-        self._wal_pending = []
-        request_id = self._pending_request_id
-        self._pending_request_id = None
-        receipt = (
-            self.wal.commit(op, subops, request_id=request_id)
-            if subops
-            else None
-        )
-        if receipt is not None:
-            scope.receipt = receipt
-        if self._group is not None:
-            self._group.receipts.append(receipt)
+    def _stage(self, op: str) -> None:
+        """The transaction's last step: stage the op's redo record."""
+        subops, self._wal_pending = self._wal_pending, []
+        request_id, self._pending_request_id = self._pending_request_id, None
+        if self.wal is not None:
+            self._group.receipts.append(
+                self.wal.commit(op, subops, request_id=request_id)
+                if subops
+                else None
+            )
+
+    @staticmethod
+    def _with_wal_costs(
+        result: UpdateResult, group: GroupCommitScope | None
+    ) -> UpdateResult:
+        """``result`` plus the WAL costs of the op that produced it.
+
+        That is the record the op staged and, for a standalone op whose
+        group of one has flushed by now, the batch's fsync.  A nested op
+        (``group`` is ``None``) or one that logged nothing adds nothing.
+        """
+        receipt = group.receipts[-1] if group and group.receipts else None
+        if receipt is None:
+            return result
+        charges, io_seconds = receipt.charges, result.io_seconds
+        if group.batch is not None:
+            io_seconds += group.batch.io_seconds
+            charges = {**charges, **group.batch.charges}
+        costs = result.costs
+        if costs is not None:
+            costs = dict(costs)
+            for unit, amount in charges.items():
+                costs[unit] = costs.get(unit, 0) + amount
+        return replace(result, io_seconds=io_seconds, costs=costs)
 
     def _stage_insert(self, parent: Node, index: int, roots: list[Node]) -> None:
         """Record one insert/insert_run sub-op for the pending WAL record.
@@ -387,7 +367,7 @@ class UpdateEngine:
                 pages_touched=0,
             )
         index = parent.index_of_child(target)
-        with self._atomic("insert_run") as scope, OBS.span(
+        with self._atomic("insert_run") as group, OBS.span(
             "update.op", op="insert_run"
         ):
             before = OBS.ledger.totals_snapshot() if OBS.enabled else None
@@ -399,7 +379,7 @@ class UpdateEngine:
             if self.wal is not None:
                 self._stage_insert(parent, index, subtree_roots)
             result = self._account(stats, position, timing.seconds, before)
-        return scope.absorb(result)
+        return self._with_wal_costs(result, group)
 
     def move_before(self, node: Node, target: Node) -> UpdateResult:
         """Relocate ``node`` (with its subtree) to just before ``target``.
@@ -412,7 +392,7 @@ class UpdateEngine:
         if node is target or node.is_ancestor_of(target):
             raise ValueError("cannot move a node before itself or its descendant")
         before = OBS.ledger.totals_snapshot() if OBS.enabled else None
-        with self._atomic("move_before") as scope:
+        with self._atomic("move_before") as group:
             # Both halves share the outer transaction: if the re-insert
             # fails, the deletion is unwound with it and the subtree is
             # back at its source, labels and pages included.  Their
@@ -430,11 +410,11 @@ class UpdateEngine:
                 pages_touched=deletion.pages_touched + insertion.pages_touched,
                 costs=self._costs_since(before),
             )
-        return scope.absorb(result)
+        return self._with_wal_costs(result, group)
 
     def delete(self, node: Node) -> UpdateResult:
         """Delete ``node`` and its subtree."""
-        with self._atomic("delete") as scope, OBS.span(
+        with self._atomic("delete") as group, OBS.span(
             "update.op", op="delete"
         ):
             before = OBS.ledger.totals_snapshot() if OBS.enabled else None
@@ -446,14 +426,14 @@ class UpdateEngine:
                 # the record applies to exactly this state.
                 self._wal_pending.append({"kind": "delete", "root": position})
             result = self._account(stats, position, timing.seconds, before)
-        return scope.absorb(result)
+        return self._with_wal_costs(result, group)
 
     # -- internals ---------------------------------------------------------------
 
     def _insert(
         self, parent: Node, index: int, subtree_root: Node
     ) -> UpdateResult:
-        with self._atomic("insert") as scope, OBS.span(
+        with self._atomic("insert") as group, OBS.span(
             "update.op", op="insert"
         ):
             before = OBS.ledger.totals_snapshot() if OBS.enabled else None
@@ -465,7 +445,7 @@ class UpdateEngine:
             if self.wal is not None:
                 self._stage_insert(parent, index, [subtree_root])
             result = self._account(stats, position, timing.seconds, before)
-        return scope.absorb(result)
+        return self._with_wal_costs(result, group)
 
     def _account(
         self,

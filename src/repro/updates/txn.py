@@ -13,6 +13,10 @@ restores the obs ledger, so the observable state is byte-identical to
 the pre-operation snapshot.  The caller sees a single
 :class:`~repro.errors.UpdateAborted` chaining the original error.
 
+Durability is not the transaction's business: the engine stages an
+op's WAL record as the last step of the transaction body, and the fsync
+happens when the op's commit group closes, after the transaction.
+
 Layering: labeling and storage never import this module.  They carry a
 duck-typed ``undo_log`` attribute (``None`` by default) that
 :class:`Transaction` binds on entry and clears on exit — the same
@@ -82,13 +86,6 @@ class Transaction:
     does :class:`~repro.errors.SimulatedCrash` — a crash is the process
     dying, not a recoverable abort, so wrapping it in ``UpdateAborted``
     would invite a retry that cannot help.
-
-    **Commit hooks.**  :meth:`on_commit` registers callables that run at
-    the commit point — inside ``__exit__``, after the body succeeded but
-    before the transaction is over.  This is where the WAL write lives:
-    a hook that raises turns the would-be commit into a full rollback
-    (abort ⇒ nothing logged *and* nothing logged ⇒ abort), which makes
-    fsync success the single durability point of the operation.
     """
 
     def __init__(self, op: str, labeled: Any, store: Any = None) -> None:
@@ -97,11 +94,6 @@ class Transaction:
         self.store = store
         self.log = UndoLog()
         self._ledger_state: dict | None = None
-        self._commit_hooks: list[Callable[[], Any]] = []
-
-    def on_commit(self, hook: Callable[[], Any]) -> None:
-        """Run ``hook`` at the commit point; its failure aborts the txn."""
-        self._commit_hooks.append(hook)
 
     def __enter__(self) -> "Transaction":
         self._ledger_state = (
@@ -113,36 +105,20 @@ class Transaction:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        failure = exc
-        if failure is None:
-            # The commit point: hooks (the WAL append/fsync) run while
-            # the transaction still owns the op.  The first failing hook
-            # demotes the commit to an abort — later hooks are skipped.
-            for hook in self._commit_hooks:
-                try:
-                    hook()
-                except BaseException as hook_error:
-                    failure = hook_error
-                    break
         # Unbind before rolling back: the inverses mutate raw state and
         # must not be re-recorded by the instrumented mutation sites.
         self.labeled.undo_log = None
         if self.store is not None:
             self.store.bind_undo(None)
-        if failure is None:
+        if exc is None:
             return False
         self.log.rollback()
         if self._ledger_state is not None:
             OBS.ledger.restore(self._ledger_state)
         OBS.inc("txn.rollbacks")
-        if isinstance(failure, SimulatedCrash):
-            # The "process" is dead: roll back the in-memory state (the
-            # survivor is whatever reached disk) and propagate raw.
-            if exc is None:
-                raise failure
-            return False
-        if isinstance(failure, Exception):
-            raise UpdateAborted(self.op, failure) from failure
-        if exc is None:
-            raise failure
+        if isinstance(exc, Exception) and not isinstance(exc, SimulatedCrash):
+            raise UpdateAborted(self.op, exc) from exc
+        # A simulated crash is the "process" dying: the in-memory state
+        # is rolled back (the survivor is whatever reached disk) and the
+        # crash propagates raw, like any non-Exception control flow.
         return False

@@ -7,15 +7,24 @@
 
 Durability protocol (single writer, redo-only):
 
-* **Commit.**  The engine's transaction calls :meth:`commit` from its
-  commit hook.  The frame is first staged in a volatile in-process
-  buffer (site ``wal.append``), then appended to ``wal.log`` with
-  ``flush`` + ``os.fsync`` (site ``wal.fsync``).  A simulated crash at
-  either site loses the record — the op was never acknowledged, so
-  recovery correctly omits it.  Only after the fsync returns is the
-  operation durable (and only then is anything charged to the ledger).
+* **Group commit, always.**  :meth:`commit` only *stages* a frame in a
+  volatile in-process buffer (site ``wal.append``); the staged buffer
+  is the open batch.  :meth:`end_batch` is the one flush: it appends
+  the whole buffer to ``wal.log`` with ``flush`` + ``os.fsync`` (site
+  ``wal.fsync``).  A standalone engine op is a batch of one, the
+  service's writer batches N ops; either way nothing staged is durable,
+  or may be acknowledged, before ``end_batch`` returns, and only then
+  is the fsync charged to the ledger.
+* **Lost frames poison the manager.**  When staged frames are lost — a
+  flush fails (a simulated crash at ``wal.fsync`` included), or a batch
+  is abandoned with frames staged — the manager drops them and refuses
+  every later :meth:`commit`, :meth:`end_batch` and :meth:`checkpoint`
+  with :class:`~repro.wal.frames.WalError`.  The in-memory document may
+  now be ahead of the log, so the only way forward is
+  :func:`repro.wal.recover` over the directory (the service's
+  quarantine-and-heal).
 * **Checkpoint.**  Every K commits or B log bytes (:meth:`maybe_checkpoint`,
-  driven by the engine *after* the transaction commits), the manager
+  run by the caller *after* the batch's flush), the manager
   writes a full bundle at the current watermark (site
   ``wal.checkpoint_write``; the write itself is atomic via
   :func:`repro.storage.atomicio.atomic_write_bytes`), then truncates the
@@ -28,10 +37,11 @@ Durability protocol (single writer, redo-only):
   assignment after the highest durable record.
 
 Costs: each fsync is modeled as sequential page writes through the
-same :class:`~repro.storage.pager.IOCostModel` the page store uses, and
-shows up in ``UpdateResult.io_seconds``/``costs`` via the engine's
-commit scope; checkpoints charge the ledger directly (they amortize
-across commits and belong to no single update).
+same :class:`~repro.storage.pager.IOCostModel` the page store uses and
+lands on the :class:`BatchReceipt` (a standalone op's
+``UpdateResult.io_seconds``/``costs`` carry its batch of one);
+checkpoints charge the ledger directly (they amortize across commits
+and belong to no single update).
 """
 
 from __future__ import annotations
@@ -102,17 +112,17 @@ def checkpoint_watermark(path: "str | Path") -> int:
 
 @dataclass(frozen=True)
 class CommitReceipt:
-    """What one durable commit cost (folded into ``UpdateResult``)."""
+    """One staged commit: its LSN and frame (the fsync is the batch's)."""
 
     lsn: int
     frame_bytes: int
-    io_seconds: float
     charges: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class BatchReceipt:
-    """One group-commit batch: N coalesced commits behind a single fsync.
+    """One group-commit batch: N coalesced commits behind a single fsync
+    (N = 1 for a standalone engine op).
 
     ``io_seconds`` is the cost of the one shared fsync; dividing it (and
     the single ``wal.fsyncs`` unit in ``charges``) by ``commits`` gives
@@ -125,25 +135,6 @@ class BatchReceipt:
     frame_bytes: int
     io_seconds: float
     charges: dict[str, int] = field(default_factory=dict)
-
-
-class _OpenBatch:
-    """Mutable accumulator for the commits staged since ``begin_batch``."""
-
-    __slots__ = ("commits", "frame_bytes", "first_lsn", "last_lsn")
-
-    def __init__(self) -> None:
-        self.commits = 0
-        self.frame_bytes = 0
-        self.first_lsn = 0
-        self.last_lsn = 0
-
-    def absorb(self, lsn: int, frame_bytes: int) -> None:
-        if self.commits == 0:
-            self.first_lsn = lsn
-        self.last_lsn = lsn
-        self.commits += 1
-        self.frame_bytes += frame_bytes
 
 
 @dataclass(frozen=True)
@@ -196,9 +187,10 @@ class WalManager:
         self.checkpoint_every_bytes = checkpoint_every_bytes
         self.page_bytes = page_bytes
         self.log_path = self.directory / LOG_NAME
-        self._buffer = bytearray()  # volatile: lost on SimulatedCrash
-        self._batch: _OpenBatch | None = None
+        self._buffer = bytearray()  # the open batch; volatile
+        self._lost: str | None = None  # why staged frames were dropped
         self.next_lsn = 1
+        self._durable_lsn = 0  # the last LSN the log holds
         self.commits_since_checkpoint = 0
         self.bytes_since_checkpoint = 0
         self._sweep_stray_temp_files()
@@ -257,21 +249,16 @@ class WalManager:
         subops: list[dict],
         request_id: "str | None" = None,
     ) -> CommitReceipt:
-        """Log one committed transaction; returns its receipt.
+        """Stage one committed transaction's record; returns its receipt.
 
-        Outside a batch the commit is immediately durable: the frame is
-        appended and ``flush`` + ``os.fsync`` runs before this returns.
-        Inside an open batch (:meth:`begin_batch`) the frame only
-        reaches the volatile buffer — the fsync is deferred to
-        :meth:`end_batch`, the receipt carries no fsync charge (the
-        batch receipt does), and the caller must not acknowledge the
-        commit until that batch fsync has returned.
-
-        Raises whatever the armed fault plan injects at ``wal.append``
-        (before the frame reaches the volatile buffer) or ``wal.fsync``
-        (before the buffer reaches the file): in both cases nothing of
-        this record is on disk afterwards.
+        The frame only reaches the volatile buffer: it is durable once
+        the :meth:`end_batch` that flushes it returns, and the caller
+        must not acknowledge the commit before then.  Raises whatever
+        the armed fault plan injects at ``wal.append`` (before the frame
+        is staged, so nothing of it survives), and :class:`WalError`
+        once staged frames were lost.
         """
+        self._check_usable()
         record = WalRecord(
             lsn=self.next_lsn,
             op=op,
@@ -283,13 +270,6 @@ class WalManager:
         if FAULTS.enabled:
             FAULTS.hit("wal.append")
         self._buffer += frame
-        batch = self._batch
-        if batch is None:
-            if FAULTS.enabled:
-                FAULTS.hit("wal.fsync")
-            self._flush()
-        else:
-            batch.absorb(record.lsn, len(frame))
         self.next_lsn += 1
         self.commits_since_checkpoint += 1
         self.bytes_since_checkpoint += len(frame)
@@ -297,97 +277,78 @@ class WalManager:
             "wal.records_appended": 1,
             "wal.bytes_appended": len(frame),
         }
-        if batch is None:
-            charges["wal.fsyncs"] = 1
-            pages = self._pages_for(len(frame))
-            io_seconds = self.io_model.cost(0, pages)
-        else:
-            io_seconds = 0.0
         if OBS.enabled:
             with OBS.span("wal.commit", op=op):
                 for unit, amount in charges.items():
                     OBS.charge(unit, amount)
         return CommitReceipt(
-            lsn=record.lsn,
-            frame_bytes=len(frame),
-            io_seconds=io_seconds,
-            charges=charges,
+            lsn=record.lsn, frame_bytes=len(frame), charges=charges
         )
 
-    # -- group commit ------------------------------------------------------
-
-    @property
-    def in_batch(self) -> bool:
-        """True while a group-commit batch is open."""
-        return self._batch is not None
-
-    def begin_batch(self) -> None:
-        """Start coalescing commits: appends buffer, the fsync waits.
-
-        Until :meth:`end_batch`, every :meth:`commit` is staged in the
-        volatile buffer only.  A crash in that window loses the staged
-        records — which is exactly the contract: none of them may be
-        acknowledged before the batch fsync returns.
-        """
-        if self._batch is not None:
-            raise WalError("a commit batch is already open")
-        self._batch = _OpenBatch()
-
     def end_batch(self) -> BatchReceipt | None:
-        """Durably flush the open batch with one fsync; fan out receipts.
+        """Flush every staged frame with one fsync; returns the receipt.
 
-        Returns ``None`` when the batch staged nothing (no fsync is
-        issued for an empty batch).  Raises whatever the armed fault
-        plan injects at ``wal.fsync`` — the staged records are then
-        still volatile, so a simulated crash there loses the whole
-        (unacknowledged) batch.
+        Returns ``None`` when nothing is staged (no fsync is issued for
+        an empty batch).  If the flush raises — whatever the armed fault
+        plan injects at ``wal.fsync`` included — the staged frames are
+        lost and the manager refuses further work (:meth:`commit`).
         """
-        batch = self._batch
-        if batch is None:
-            raise WalError("no commit batch is open")
+        self._check_usable()
+        if not self._buffer:
+            return None
+        first_lsn = self._durable_lsn + 1
+        frame_bytes = len(self._buffer)
         try:
-            if batch.commits == 0:
-                return None
             if FAULTS.enabled:
                 FAULTS.hit("wal.fsync")
             self._flush()
-        finally:
-            self._batch = None
-        pages = self._pages_for(batch.frame_bytes)
-        io_seconds = self.io_model.cost(0, pages)
+        except BaseException as error:
+            self._lose_staged(f"the batch flush failed: {error!r}")
+            raise
+        self._durable_lsn = self.next_lsn - 1
+        commits = self._durable_lsn - first_lsn + 1
         charges = {
             "wal.fsyncs": 1,
             "wal.batches": 1,
-            "wal.batch_commits": batch.commits,
+            "wal.batch_commits": commits,
         }
         if OBS.enabled:
             with OBS.span("wal.batch", op="batch"):
                 for unit, amount in charges.items():
                     OBS.charge(unit, amount)
         return BatchReceipt(
-            first_lsn=batch.first_lsn,
-            last_lsn=batch.last_lsn,
-            commits=batch.commits,
-            frame_bytes=batch.frame_bytes,
-            io_seconds=io_seconds,
+            first_lsn=first_lsn,
+            last_lsn=self._durable_lsn,
+            commits=commits,
+            frame_bytes=frame_bytes,
+            io_seconds=self.io_model.cost(0, self._pages_for(frame_bytes)),
             charges=charges,
         )
 
     def abandon_batch(self) -> None:
-        """Close an open batch without flushing (the crash/failure path).
+        """Give up on the staged frames (a caller's batch failed).
 
-        The staged frames stay in the volatile buffer but are never
-        fsync'd by this call; the caller owns what happens to the
-        document next (the service quarantines it — memory and disk can
-        no longer be proven to agree).  Safe to call when no batch is
-        open.
+        With frames staged they are lost and the manager refuses further
+        work; with none staged this is a no-op and the manager stays
+        usable (an op that aborted before staging changed nothing).
         """
-        self._batch = None
+        if self._buffer:
+            self._lose_staged("a batch was abandoned with frames staged")
+
+    def _lose_staged(self, reason: str) -> None:
+        self._buffer.clear()
+        self._lost = reason
+
+    def _check_usable(self) -> None:
+        if self._lost is not None:
+            raise WalError(
+                f"staged WAL frames were lost ({self._lost}); the document "
+                f"may be ahead of {self.directory} — recover the directory "
+                f"before committing again"
+            )
 
     def _flush(self) -> None:
         """Move the volatile buffer to the durable log (append + fsync)."""
-        if not self._buffer:
-            return
         with open(self.log_path, "ab") as handle:
             handle.write(bytes(self._buffer))
             handle.flush()
@@ -416,11 +377,12 @@ class WalManager:
         leaves a recoverable pair — old bundle + full log, or new
         bundle + full log (recovery skips the already-covered prefix).
         """
-        if self._batch is not None:
+        self._check_usable()
+        if self._buffer:
             raise WalError(
-                "cannot checkpoint inside an open commit batch: the "
-                "watermark would cover staged records that are not yet "
-                "durable — end_batch() first"
+                "cannot checkpoint with frames staged: the watermark "
+                "would cover records that are not yet durable — "
+                "end_batch() first"
             )
         watermark = self.next_lsn - 1
         if FAULTS.enabled:
@@ -474,6 +436,7 @@ class WalManager:
                 # CRC-valid but undecodable: treat like a torn tail.
                 pass
         self.next_lsn = last_lsn + 1
+        self._durable_lsn = last_lsn
         self.commits_since_checkpoint = max(0, last_lsn - watermark)
         self.bytes_since_checkpoint = (
             self.log_path.stat().st_size if self.log_path.exists() else 0

@@ -3,6 +3,8 @@
 The serializer escapes the five predefined entities and emits either a
 compact single-line form (the default — safe for round-tripping, since
 no whitespace is invented) or an indented pretty form for human eyes.
+Adjacent text siblings are written with an empty comment ``<!---->``
+between them, so a re-parse yields the same number of text nodes.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ def escape_attribute(value: str) -> str:
     return escape_text(value).replace('"', "&quot;")
 
 
-def _write_node(node: Node, out: StringIO, indent: int, step: str) -> None:
+def _write_node(node: Node, out: StringIO, indent: int, step: str) -> bool:
+    """Write ``node``; returns True when it was a text node."""
     pad = step * indent if step else ""
     newline = "\n" if step else ""
     if node.kind is NodeKind.TEXT:
         out.write(f"{pad}{escape_text(node.value or '')}{newline}")
-        return
+        return True
     if node.kind is NodeKind.COMMENT:
         out.write(f"{pad}<!--{node.value or ''}-->{newline}")
-        return
+        return False
     if node.kind is NodeKind.ATTRIBUTE:
         raise ValueError(
             "attribute nodes are serialized inside their element's start tag"
@@ -52,7 +55,7 @@ def _write_node(node: Node, out: StringIO, indent: int, step: str) -> None:
         )
     if not content:
         out.write(f"/>{newline}")
-        return
+        return False
     out.write(">")
     # Mixed or text-only content is kept inline even in pretty mode, so
     # pretty-printing never injects whitespace into character data.
@@ -63,9 +66,16 @@ def _write_node(node: Node, out: StringIO, indent: int, step: str) -> None:
             _write_node(child, out, indent + 1, step)
         out.write(f"{pad}</{node.name}>{newline}")
     else:
+        after_text = False
         for child in content:
-            _write_node(child, out, 0, "")
+            if after_text and child.kind is NodeKind.TEXT:
+                # Adjacent text siblings (a delete can leave them) would
+                # re-parse as one run; the parser drops this comment but
+                # keeps the two runs apart.
+                out.write("<!---->")
+            after_text = _write_node(child, out, 0, "")
         out.write(f"</{node.name}>{newline}")
+    return False
 
 
 def serialize(node: Node, *, pretty: bool = False, indent: str = "  ") -> str:

@@ -164,6 +164,9 @@ class TestCosts:
         assert result.costs["wal.records_appended"] == 1
         assert result.costs["wal.fsyncs"] == 1
         assert result.costs["wal.bytes_appended"] > 0
+        # A standalone op is a group commit of one.
+        assert result.costs["wal.batches"] == 1
+        assert result.costs["wal.batch_commits"] == 1
         assert result.io_seconds > 0
         # ledger agrees with the per-op delta
         assert OBS.ledger.totals["wal.records_appended"] == 1

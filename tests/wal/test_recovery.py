@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FAULTS
+from repro.labeling import make_scheme
 from repro.obs import OBS
-from repro.updates import apply_churn_op, churn_script
+from repro.updates import UpdateEngine, apply_churn_op, churn_script
 from repro.verify import verify_integrity
 from repro.wal import FRAME_HEADER_BYTES, WalError, recover, scan_frames
 from repro.wal.writer import LOG_NAME, checkpoint_files
-from repro.xmltree import Node
+from repro.xmltree import Node, NodeKind, parse_document
 
 from tests.wal.walutil import build_wal_engine, logical_state
 
@@ -67,6 +68,58 @@ class TestRecoverEqualsLiveState:
             second.replayed,
             second.skipped,
         )
+
+
+def mixed_content_engine(scheme, wal_dir, xml):
+    """A WAL engine over ``xml`` (whitespace and text kept)."""
+    labeled = make_scheme(scheme).label_document(
+        parse_document(xml, keep_whitespace=True)
+    )
+    return UpdateEngine(
+        labeled, with_storage=True, durability="wal", wal_dir=wal_dir
+    )
+
+
+def element(engine, tag):
+    return next(
+        node
+        for node in engine.labeled.nodes_in_order
+        if node.kind is NodeKind.ELEMENT and node.name == tag
+    )
+
+
+class TestAdjacentText:
+    """Deleting what stood between two text runs leaves them adjacent;
+    the bundle and the log must keep them apart."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_checkpoint_keeps_adjacent_text_nodes(self, scheme, tmp_path):
+        engine = mixed_content_engine(
+            scheme, tmp_path, "<r><a>t1<b/>t2</a><z/></r>"
+        )
+        engine.delete(element(engine, "b"))
+        engine.wal.checkpoint()
+        report = recover(tmp_path)
+        assert report.watermark == 1
+        assert len(report.labeled.nodes_in_order) == len(
+            engine.labeled.nodes_in_order
+        )
+        assert logical_state(report.labeled) == logical_state(engine.labeled)
+        assert verify_integrity(report.labeled) == []
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_moved_adjacent_text_replays_from_the_log(
+        self, scheme, tmp_path
+    ):
+        engine = mixed_content_engine(
+            scheme, tmp_path, "<r><a>t1<b/>t2</a><z/><y/></r>"
+        )
+        engine.delete(element(engine, "b"))
+        engine.move_before(element(engine, "a"), element(engine, "y"))
+        report = recover(tmp_path)
+        assert (report.watermark, report.replayed) == (0, 2)
+        assert logical_state(report.labeled) == logical_state(engine.labeled)
+        assert verify_integrity(report.labeled) == []
 
 
 class TestTornTail:

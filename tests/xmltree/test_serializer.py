@@ -101,6 +101,17 @@ class TestRoundTrip:
         assert removed == 1
         assert [c.value for c in root.children] == ["xy", None, "z"]
 
+    def test_adjacent_text_siblings_stay_apart(self):
+        root = Node.element("a")
+        root.append_child(Node.text("x"))
+        root.append_child(Node.text("y"))
+        root.append_child(Node.element("b"))
+        root.append_child(Node.text("z"))
+        text = serialize(root)
+        assert text == "<a>x<!---->y<b/>z</a>"
+        reparsed = parse_document(text, keep_whitespace=True)
+        assert trees_equal(root, reparsed.root)
+
     def test_pretty_roundtrip_without_text_distortion(self):
         original = parse_document("<a><b>keep me</b><c/></a>")
         pretty = serialize(original.root, pretty=True)
