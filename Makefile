@@ -26,8 +26,9 @@ lint:
 ci: lint
 	PYTHONPATH=src python -m pytest -x -q
 
-# Full update hot-path sweep (benchmarks/ holds scripts, not pytest
-# benchmarks; see benchmarks/README if unsure which one you want).
+# Full update hot-path sweep at N = 1k/10k/100k, rewriting the checked-in
+# BENCH_updates.json (benchmarks/ holds scripts, not pytest benchmarks;
+# each script's docstring says what it measures and how to run it).
 bench:
 	PYTHONPATH=src python benchmarks/bench_update_hotpath.py --out BENCH_updates.json
 

@@ -15,7 +15,7 @@ Compares a fresh ``bench_update_hotpath.py`` run against the checked-in
   *tighter*, one-sided envelope (+25 % by default; improvements never
   fail).  These loops are pure codec work, so a silent fallback to a
   per-bit path — 2-4x slower on every one of them — fails here even
-  when treap/pager time hides it from the engine-level medians.
+  when order-index/pager time hides it from the engine-level medians.
 * **durability off stays free** — the smoke workload runs with
   ``durability="off"``, so *any* ``wal.*`` unit in its ledger totals is
   a leak (the WAL hooked itself into the default path) and fails the

@@ -13,8 +13,8 @@ Run it directly::
     PYTHONPATH=src python benchmarks/bench_update_hotpath.py \
         --sizes 1000,10000,100000 --ops 200 --out BENCH_updates.json
 
-Every timed configuration runs in ``optimized`` mode (treap-backed
-order index, hint-based child lookup, Fenwick-style page offsets); the
+Every timed configuration runs in ``optimized`` mode (blocked order
+index, hint-based child lookup, blocked page offsets); the
 full sweep adds ``refcodec`` configurations, the same workload on the
 per-bit reference codec.
 """
@@ -182,7 +182,7 @@ def _codec_microbench(repeats: int = 7, run_size: int = 4096):
     batch then divided by the batch size.  The CI gate compares these
     against the baseline so a silent fallback to a per-bit path — which
     is 4-8x slower on every one of these — fails the build even when
-    the engine-level medians hide it behind treap/pager time.
+    the engine-level medians hide it behind order-index/pager time.
 
     The two ``run_insert_*`` metrics time a run insert of ``run_size``
     codes into one gap — the workload behind bulk load,
@@ -405,7 +405,8 @@ def run_bench(
             )
         if with_refcodec:
             # Sanity cross-check, NOT the headline: single-node insert
-            # latency through the whole engine is treap/pager-dominated,
+            # latency through the whole engine is dominated by the
+            # engine around the codec (order index, pager, undo log),
             # so this ratio hovers near 1 even though the codec itself
             # got much faster.  It guards against the packed codec
             # *regressing* the end-to-end path.

@@ -71,8 +71,8 @@ def editing_session(scheme_name: str) -> None:
     )
     print(
         f"  ledger: {ledger.total('middle.bits_generated')} middle bits, "
-        f"{ledger.total('pager.pages_written')} pages written, "
-        f"{ledger.total('orderindex.rotations')} treap rotations "
+        f"{ledger.total('labeling.labels_assigned')} labels assigned, "
+        f"{ledger.total('pager.pages_written')} pages written "
         f"({ledger.op_total('insert', 'pager.pages_written')} of those "
         f"page writes from inserts)"
     )

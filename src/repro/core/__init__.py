@@ -10,9 +10,9 @@
   completely avoids re-labeling.
 * :mod:`repro.core.sizes` — the Section 4.2 size analysis.
 * :mod:`repro.core.orderkeys` — Property 5.1 as a reusable order-key API.
-* :mod:`repro.core.orderindex` — O(log N) dynamic order-statistic
-  sequence (document-order ranks, positional splices, weight prefix
-  sums) backing the update hot path.
+* :mod:`repro.core.orderindex` — the blocked order-statistic sequence
+  (document-order ranks, positional splices, weight prefix sums)
+  backing the update hot path.
 """
 
 from repro.core.bitstring import EMPTY, BitString

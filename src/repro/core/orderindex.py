@@ -8,84 +8,53 @@ these for granted — CDBS makes the *labels* cheap to update, and the
 surrounding bookkeeping must not re-introduce a linear term, or measured
 "update time" scales with document size for reasons the paper never had.
 
-:class:`OrderStatisticTree` answers all three in O(log N) expected time.
-It is an implicit treap (randomised balanced BST ordered by position,
-heap-ordered by priority) augmented with two subtree aggregates:
+:class:`OrderStatisticTree` answers all three with a two-level blocked
+sequence, the aB-tree layout of "Dynamic Succincter" with fat leaves so
+that CPython's list primitives do the splicing:
 
-* ``size`` — element counts, giving rank/select (position ↔ item);
-* ``wsum`` — an integer *weight* per element, giving prefix sums over
-  arbitrary weights (byte offsets when the weights are record sizes).
+* the elements live in Python lists ("blocks") of at most
+  :data:`BLOCK_SIZE` entries, each with a parallel list of integer
+  *weights*, so a splice is one list splice inside one block and runs
+  in C;
+* a Fenwick tree over the blocks' element counts and weight sums finds
+  the block holding a position, and the count and weight before it, in
+  O(log(N/B)).  A splice inside a block updates it in place; only a
+  block split or merge rebuilds it, in O(N/B);
+* with ``track_identity=True`` an ``id(item) -> block`` map gives the
+  rank of an item: the block's prefix count plus the item's offset in
+  its block, found by a C-level scan of at most B entries.
 
-A Fenwick tree gives the same aggregates over a *fixed* universe, but
-both clients here insert and delete in the middle of the sequence —
-which shifts every later ordinal, exactly the operation Fenwick trees
-cannot absorb — so the order-statistic tree is the Fenwick generalised
-to a dynamic universe.  With ``track_identity=True`` the tree also keeps
-an ``id(item) -> node`` map so :meth:`position` can walk parent pointers
-from the item itself: rank-of-item without any search or hashing of
-item *values* (tree nodes are mutable and unhashable by content).
-
-All operations are iterative — no recursion limits to trip on large
-documents — and priorities come from a seeded PRNG so sequences are
-reproducible run to run.
+Builds and splits leave blocks half full and a block that falls below a
+quarter merges into its neighbours, so every query and K-item splice
+costs O(log(N/B) + B + K) with no randomness: the same edits always
+build the same blocks.
 """
 
 from __future__ import annotations
 
-import random
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator
 
-from repro.obs import OBS
+__all__ = ["BLOCK_SIZE", "OrderStatisticTree"]
 
-__all__ = ["OrderStatisticTree"]
-
-
-class _TreapNode:
-    """One element: its payload, weight, and augmented subtree sums."""
-
-    __slots__ = (
-        "item",
-        "weight",
-        "prio",
-        "left",
-        "right",
-        "parent",
-        "size",
-        "wsum",
-    )
-
-    def __init__(self, item: Any, weight: int, prio: float) -> None:
-        self.item = item
-        self.weight = weight
-        self.prio = prio
-        self.left: _TreapNode | None = None
-        self.right: _TreapNode | None = None
-        self.parent: _TreapNode | None = None
-        self.size = 1
-        self.wsum = weight
-
-
-def _size(node: _TreapNode | None) -> int:
-    return node.size if node is not None else 0
-
-
-def _wsum(node: _TreapNode | None) -> int:
-    return node.wsum if node is not None else 0
+#: B, the most entries one block holds.
+BLOCK_SIZE = 512
+_HALF = BLOCK_SIZE // 2
+_QUARTER = BLOCK_SIZE // 4
 
 
 class OrderStatisticTree:
-    """A positional sequence with O(log N) rank, select, splice and
-    weight-prefix queries.
+    """A positional sequence with rank, select, splice and weight-prefix
+    queries in O(log(N/B) + B), B being :data:`BLOCK_SIZE`.
 
     Args:
         items: initial elements, in sequence order (bulk-built in O(N)).
         weights: optional per-item integer weights (defaults to 1 each);
             :meth:`prefix_weight` sums them by position.
-        track_identity: keep an ``id(item) -> node`` map so
+        track_identity: keep an ``id(item) -> block`` map so
             :meth:`position` / ``in`` work; requires every item to be a
             distinct live object (document nodes are; small interned
             ints are *not*, so weight-only clients leave this off).
-        seed: PRNG seed for treap priorities (determinism only).
     """
 
     def __init__(
@@ -94,79 +63,107 @@ class OrderStatisticTree:
         *,
         weights: Iterable[int] | None = None,
         track_identity: bool = False,
-        seed: int = 0x0D0C,
     ) -> None:
-        self._rng = random.Random(seed)
         self._track = track_identity
-        self._where: dict[int, _TreapNode] = {}
-        self._root: _TreapNode | None = None
-        self._bulk_build(items, weights)
-
-    # -- construction ------------------------------------------------------
+        self._where: dict[int, list[Any]] = {}
+        self._blocks: list[list[Any]] = []
+        self._weights: list[list[int]] = []
+        self._sums: list[int] = []
+        items, weights = self._checked_run(items, weights)
+        self._len = len(items)
+        self._reblock(0, 0, items, weights)
+        if self._track and len(self._where) != self._len:
+            raise ValueError("items must be distinct objects")
 
     @staticmethod
-    def _paired(
-        items: Iterable[Any], weights: Iterable[int]
-    ) -> Iterable[tuple[Any, int]]:
-        try:
-            yield from zip(items, weights, strict=True)
-        except ValueError:
-            raise ValueError("items and weights differ in length") from None
-
-    def _bulk_build(
-        self, items: Iterable[Any], weights: Iterable[int] | None
-    ) -> None:
-        """Cartesian-tree build from a sequence: O(N) via a right spine."""
-        rand = self._rng.random
-        spine: list[_TreapNode] = []
+    def _checked_run(
+        items: Iterable[Any], weights: Iterable[int] | None
+    ) -> tuple[list[Any], list[int]]:
+        items = list(items)
         if weights is None:
-            pairs: Iterable[tuple[Any, int]] = ((item, 1) for item in items)
-        else:
-            pairs = self._paired(items, weights)
-        for item, weight in pairs:
-            node = _TreapNode(item, self._checked_weight(weight), rand())
-            last: _TreapNode | None = None
-            while spine and spine[-1].prio < node.prio:
-                last = spine.pop()
-            node.left = last
-            if last is not None:
-                last.parent = node
-            if spine:
-                spine[-1].right = node
-                node.parent = spine[-1]
-            spine.append(node)
-            if self._track:
-                self._where[id(item)] = node
-        self._root = spine[0] if spine else None
-        self._refresh_aggregates()
+            return items, [1] * len(items)
+        weights = list(weights)
+        if len(weights) != len(items):
+            raise ValueError("items and weights differ in length")
+        if weights and min(weights) < 0:
+            raise ValueError(f"weight must be non-negative, got {min(weights)}")
+        return items, weights
 
-    def _refresh_aggregates(self) -> None:
-        """Recompute size/wsum bottom-up over the whole tree (build only)."""
-        if self._root is None:
-            return
-        stack: list[tuple[_TreapNode, bool]] = [(self._root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                node.size = 1 + _size(node.left) + _size(node.right)
-                node.wsum = node.weight + _wsum(node.left) + _wsum(node.right)
-                continue
-            stack.append((node, True))
-            if node.left is not None:
-                stack.append((node.left, False))
-            if node.right is not None:
-                stack.append((node.right, False))
+    # -- the block directory -----------------------------------------------
 
-    @staticmethod
-    def _checked_weight(weight: int) -> int:
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
-        return weight
+    def _reblock(
+        self, lo: int, hi: int, items: list[Any], weights: list[int]
+    ) -> None:
+        """Replace blocks ``[lo, hi)`` by ``items`` cut into blocks of
+        B/2 to B entries (one smaller block when there are fewer), then
+        rebuild the directory.  The only place the block layout changes.
+        """
+        parts = max(1, len(items) // _HALF)
+        cuts = [len(items) * part // parts for part in range(parts + 1)]
+        blocks = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+        self._blocks[lo:hi] = blocks
+        self._weights[lo:hi] = [weights[a:b] for a, b in zip(cuts, cuts[1:])]
+        self._sums[lo:hi] = map(sum, self._weights[lo : lo + parts])
+        if self._track:
+            where = self._where
+            for block in blocks:
+                where.update(dict.fromkeys(map(id, block), block))
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the Fenwick directory over the blocks — O(N/B)."""
+        count = len(self._blocks)
+        counts = [0, *map(len, self._blocks)]
+        sums = [0, *self._sums]
+        for child in range(1, count + 1):
+            parent = child + (child & -child)
+            if parent <= count:
+                counts[parent] += counts[child]
+                sums[parent] += sums[child]
+        self._tree_counts, self._tree_sums = counts, sums
+        self._top = 1 << (count.bit_length() - 1)  # largest power of 2 <= count
+        if self._track:
+            self._block_index = {
+                id(block): index for index, block in enumerate(self._blocks)
+            }
+
+    def _bump(self, index: int, items: int, weight: int) -> None:
+        """Record a splice of ``items`` entries / ``weight`` in one block."""
+        self._sums[index] += weight
+        counts, sums = self._tree_counts, self._tree_sums
+        count = len(self._blocks)
+        node = index + 1
+        while node <= count:
+            counts[node] += items
+            sums[node] += weight
+            node += node & -node
+
+    def _seek(self, position: int) -> tuple[int, int, int]:
+        """``(block, offset, weight before the block)`` of ``position``.
+
+        A Fenwick descent for the last block boundary at or before
+        ``position``.  Every block but a lone one is non-empty, so for
+        ``position < len(self)`` the block holds the position;
+        ``position == len(self)`` gives one past the last block, with
+        the total weight.
+        """
+        counts, sums = self._tree_counts, self._tree_sums
+        count = len(self._blocks)
+        index = weight = 0
+        step = self._top
+        while step:
+            probe = index + step
+            if probe <= count and counts[probe] <= position:
+                index = probe
+                position -= counts[probe]
+                weight += sums[probe]
+            step >>= 1
+        return index, position, weight
 
     # -- size and membership -----------------------------------------------
 
     def __len__(self) -> int:
-        return _size(self._root)
+        return self._len
 
     def __contains__(self, item: Any) -> bool:
         if not self._track:
@@ -177,105 +174,73 @@ class OrderStatisticTree:
 
     def total_weight(self) -> int:
         """Sum of every element's weight (total bytes for a size map)."""
-        return _wsum(self._root)
+        return self._seek(self._len)[2]
 
     # -- rank / select -----------------------------------------------------
 
     def position(self, item: Any) -> int:
-        """Rank of ``item`` in the sequence — O(log N), no scanning.
+        """Rank of ``item`` in the sequence — O(log(N/B) + B), no search
+        outside the item's block.
 
-        Walks parent pointers from the item's tree node, accumulating
-        the sizes of subtrees that precede it.  Raises :class:`ValueError`
-        (matching ``list.index``) when the item is not in the sequence.
+        Raises :class:`ValueError` (matching ``list.index``) when the
+        item is not in the sequence.
         """
         if not self._track:
             raise TypeError(
                 "position() requires track_identity=True at construction"
             )
-        node = self._where.get(id(item))
-        if node is None:
+        block = self._where.get(id(item))
+        if block is None:
             raise ValueError("item is not in the sequence")
-        rank = _size(node.left)
-        while node.parent is not None:
-            parent = node.parent
-            if node is parent.right:
-                rank += _size(parent.left) + 1
-            node = parent
-        return rank
+        offset = block.index(item)
+        if block[offset] is not item:
+            # list.index compares with ==: an equal but distinct entry
+            # came first.  Rank is by identity.
+            offset = next(i for i, entry in enumerate(block) if entry is item)
+        counts = self._tree_counts
+        node = self._block_index[id(block)]
+        while node:
+            offset += counts[node]
+            node &= node - 1
+        return offset
 
     def index(self, item: Any) -> int:
         """Alias of :meth:`position` (list-compatible spelling)."""
         return self.position(item)
 
-    def _node_at(self, position: int) -> _TreapNode:
-        node = self._root
-        remaining = position
-        while node is not None:
-            left_size = _size(node.left)
-            if remaining < left_size:
-                node = node.left
-            elif remaining == left_size:
-                return node
-            else:
-                remaining -= left_size + 1
-                node = node.right
-        raise IndexError(f"position {position} out of range 0..{len(self) - 1}")
-
     def __getitem__(self, key: int | slice) -> Any:
         if isinstance(key, slice):
-            start, stop, step = key.indices(len(self))
+            start, stop, step = key.indices(self._len)
             if step == 1:
-                span = max(0, stop - start)
-                out: list[Any] = []
-                for item in self.iter_from(start):
-                    if len(out) == span:
-                        break
-                    out.append(item)
-                return out
+                return list(islice(self.iter_from(start), max(0, stop - start)))
             return [self[i] for i in range(start, stop, step)]
         position = key
         if position < 0:
-            position += len(self)
-        if not 0 <= position < len(self):
+            position += self._len
+        if not 0 <= position < self._len:
             raise IndexError(
-                f"position {key} out of range for {len(self)} items"
+                f"position {key} out of range for {self._len} items"
             )
-        return self._node_at(position).item
+        index, offset, _ = self._seek(position)
+        return self._blocks[index][offset]
 
     # -- iteration ---------------------------------------------------------
 
     def __iter__(self) -> Iterator[Any]:
-        stack: list[_TreapNode] = []
-        node = self._root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield node.item
-            node = node.right
+        return chain.from_iterable(self._blocks)
 
     def iter_from(self, position: int) -> Iterator[Any]:
-        """Iterate items starting at ``position`` — O(log N) to locate,
-        O(1) amortised per step (parent-pointer successor walk)."""
-        total = len(self)
-        if not 0 <= position <= total:
-            raise IndexError(f"position {position} out of range 0..{total}")
-        if position == total:
-            return
-        node: _TreapNode | None = self._node_at(position)
-        while node is not None:
-            yield node.item
-            if node.right is not None:
-                node = node.right
-                while node.left is not None:
-                    node = node.left
-            else:
-                child = node
-                node = node.parent
-                while node is not None and child is node.right:
-                    child = node
-                    node = node.parent
+        """Iterate items starting at ``position`` — O(log(N/B)) to
+        locate, then list iteration in C."""
+        if not 0 <= position <= self._len:
+            raise IndexError(f"position {position} out of range 0..{self._len}")
+        if position == self._len:
+            return iter(())
+        index, offset, _ = self._seek(position)
+        return chain(
+            islice(self._blocks[index], offset, None),
+            chain.from_iterable(islice(self._blocks, index + 1, None)),
+        )
 
     # -- mutation ----------------------------------------------------------
 
@@ -287,158 +252,91 @@ class OrderStatisticTree:
     ) -> None:
         """Insert ``items`` so the first lands at ``position``.
 
-        O(K log N) for a K-item run: each element is threaded in with a
-        positional descent plus rotations that restore the heap order.
+        One list splice into the block holding ``position``; the block
+        splits when it outgrows B.
         """
-        total = len(self)
-        if not 0 <= position <= total:
-            raise IndexError(f"position {position} out of range 0..{total}")
-        if weights is None:
-            pairs: Iterable[tuple[Any, int]] = ((item, 1) for item in items)
-        else:
-            pairs = self._paired(items, weights)
-        offset = position
-        for item, weight in pairs:
-            self._insert_one(offset, item, self._checked_weight(weight))
-            offset += 1
-
-    def _insert_one(self, position: int, item: Any, weight: int) -> None:
-        node = _TreapNode(item, weight, self._rng.random())
-        if self._track:
-            if id(item) in self._where:
-                raise ValueError("item is already in the sequence")
-            self._where[id(item)] = node
-        if self._root is None:
-            self._root = node
+        if not 0 <= position <= self._len:
+            raise IndexError(f"position {position} out of range 0..{self._len}")
+        items, weights = self._checked_run(items, weights)
+        if not items:
             return
-        current = self._root
-        remaining = position
-        while True:
-            current.size += 1
-            current.wsum += weight
-            left_size = _size(current.left)
-            if remaining <= left_size:
-                if current.left is None:
-                    current.left = node
-                    node.parent = current
-                    break
-                current = current.left
-            else:
-                remaining -= left_size + 1
-                if current.right is None:
-                    current.right = node
-                    node.parent = current
-                    break
-                current = current.right
-        rotations = 0
-        while node.parent is not None and node.prio > node.parent.prio:
-            self._rotate_up(node)
-            rotations += 1
-        if OBS.enabled and rotations:
-            OBS.charge("orderindex.rotations", rotations)
+        if self._track:
+            ids = set(map(id, items))
+            if len(ids) < len(items) or not self._where.keys().isdisjoint(ids):
+                raise ValueError("item is already in the sequence")
+        if position == self._len:
+            index = len(self._blocks) - 1
+            offset = len(self._blocks[index])
+        else:
+            index, offset, _ = self._seek(position)
+        block = self._blocks[index]
+        block[offset:offset] = items
+        self._weights[index][offset:offset] = weights
+        self._len += len(items)
+        if self._track:
+            self._where.update(dict.fromkeys(ids, block))
+        if len(block) > BLOCK_SIZE:
+            self._reblock(index, index + 1, block, self._weights[index])
+        else:
+            self._bump(index, len(items), sum(weights))
 
     def delete_run(self, position: int, count: int) -> list[Any]:
         """Remove ``count`` items starting at ``position``; returns them.
 
-        O(K log N) for a K-item run.
+        A run inside one block that leaves it at least a quarter full is
+        one list splice.  Otherwise the blocks the run touches and one
+        neighbour on each side are joined, cut and re-blocked.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        total = len(self)
-        if not 0 <= position <= total or position + count > total:
+        if not 0 <= position <= self._len or position + count > self._len:
             raise IndexError(
-                f"range [{position}, {position + count}) exceeds {total} items"
+                f"range [{position}, {position + count}) exceeds "
+                f"{self._len} items"
             )
-        removed: list[Any] = []
-        for _ in range(count):
-            removed.append(self._delete_at(position))
-        return removed
-
-    def _delete_at(self, position: int) -> Any:
-        node = self._node_at(position)
-        rotations = 0
-        while node.left is not None or node.right is not None:
-            left, right = node.left, node.right
-            if right is None or (left is not None and left.prio >= right.prio):
-                self._rotate_up(left)
-            else:
-                self._rotate_up(right)
-            rotations += 1
-        if OBS.enabled and rotations:
-            OBS.charge("orderindex.rotations", rotations)
-        parent = node.parent
-        if parent is None:
-            self._root = None
+        if not count:
+            return []
+        index, offset, _ = self._seek(position)
+        block, weights = self._blocks[index], self._weights[index]
+        end = offset + count
+        if end <= len(block) and (
+            len(block) - count >= _QUARTER or len(self._blocks) == 1
+        ):
+            removed = block[offset:end]
+            weight = sum(weights[offset:end])
+            del block[offset:end], weights[offset:end]
+            self._bump(index, -count, -weight)
         else:
-            if parent.left is node:
-                parent.left = None
-            else:
-                parent.right = None
-            ancestor: _TreapNode | None = parent
-            while ancestor is not None:
-                ancestor.size -= 1
-                ancestor.wsum -= node.weight
-                ancestor = ancestor.parent
-        node.parent = None
+            last = self._seek(position + count - 1)[0]
+            lo, hi = max(index - 1, 0), min(last + 2, len(self._blocks))
+            offset += sum(map(len, self._blocks[lo:index]))
+            end = offset + count
+            block = list(chain.from_iterable(self._blocks[lo:hi]))
+            weights = list(chain.from_iterable(self._weights[lo:hi]))
+            removed = block[offset:end]
+            del block[offset:end], weights[offset:end]
+            self._reblock(lo, hi, block, weights)
+        self._len -= count
         if self._track:
-            del self._where[id(node.item)]
-        return node.item
-
-    def _rotate_up(self, node: _TreapNode) -> None:
-        """Rotate ``node`` above its parent, preserving in-order sequence
-        and recomputing the two disturbed aggregates."""
-        parent = node.parent
-        if parent is None:
-            raise ValueError("cannot rotate the root")
-        grand = parent.parent
-        if parent.left is node:
-            parent.left = node.right
-            if node.right is not None:
-                node.right.parent = parent
-            node.right = parent
-        else:
-            parent.right = node.left
-            if node.left is not None:
-                node.left.parent = parent
-            node.left = parent
-        parent.parent = node
-        node.parent = grand
-        if grand is None:
-            self._root = node
-        elif grand.left is parent:
-            grand.left = node
-        else:
-            grand.right = node
-        parent.size = 1 + _size(parent.left) + _size(parent.right)
-        parent.wsum = (
-            parent.weight + _wsum(parent.left) + _wsum(parent.right)
-        )
-        node.size = 1 + _size(node.left) + _size(node.right)
-        node.wsum = node.weight + _wsum(node.left) + _wsum(node.right)
+            where = self._where
+            for item in removed:
+                del where[id(item)]
+        return removed
 
     # -- weight prefix sums ------------------------------------------------
 
     def prefix_weight(self, position: int) -> int:
-        """Sum of the weights of the first ``position`` items — O(log N).
+        """Sum of the weights of the first ``position`` items.
 
         With record sizes as weights this is the byte offset of record
         ``position``; ``prefix_weight(len(self))`` is the total size.
         """
-        total = len(self)
-        if not 0 <= position <= total:
-            raise IndexError(f"position {position} out of range 0..{total}")
-        node = self._root
-        remaining = position
-        acc = 0
-        while node is not None and remaining > 0:
-            left_size = _size(node.left)
-            if remaining <= left_size:
-                node = node.left
-            else:
-                acc += _wsum(node.left) + node.weight
-                remaining -= left_size + 1
-                node = node.right
-        return acc
+        if not 0 <= position <= self._len:
+            raise IndexError(f"position {position} out of range 0..{self._len}")
+        index, offset, weight = self._seek(position)
+        if offset:
+            weight += sum(islice(self._weights[index], offset))
+        return weight
 
     def __repr__(self) -> str:
         return (

@@ -85,8 +85,8 @@ class LabeledDocument:
 
     ``nodes_in_order`` is an :class:`OrderStatisticTree`, not a list: it
     iterates, indexes and slices like one, but answers *rank* queries
-    (:meth:`position_of`) and positional splices in O(log N), keeping
-    the update path free of linear scans.
+    (:meth:`position_of`) and positional splices within one block of
+    at most B nodes, keeping the update path free of linear scans.
     """
 
     def __init__(self, document: Document, scheme: "LabelingScheme") -> None:
@@ -131,7 +131,8 @@ class LabeledDocument:
         return len(self.nodes_in_order)
 
     def position_of(self, node: Node) -> int:
-        """Document-order position of ``node`` — O(log N), no scanning.
+        """Document-order position of ``node`` — its block's prefix
+        count plus its offset in the block; no scan of the document.
 
         The update engine's replacement for the seed's list-index scan,
         which re-walked the whole document on every structural update.
@@ -268,10 +269,10 @@ class LabeledDocument:
         """Remove a subtree's nodes from order/tag indexes and labels.
 
         A subtree is contiguous in document order, so the order index
-        drops it as one positional run — O(K log N) for K nodes instead
-        of the full-list rebuild this used to cost.  Tag buckets are
-        pruned by binary search *before* the order/labels are touched
-        (the search keys need them).
+        drops it as one positional run — a list splice inside one block
+        when the run fits — instead of the full-list rebuild this used
+        to cost.  Tag buckets are pruned by binary search *before* the
+        order/labels are touched (the search keys need them).
         """
         removed = list(subtree_root.pre_order())
         log = self.undo_log
@@ -363,8 +364,9 @@ class LabeledDocument:
         except (KeyError, ValueError):
             # The node is not fully labeled yet (e.g. Prime assigns SC
             # groups only after registration); fall back to ranks in the
-            # already-updated global order index — O(log² N) instead of
-            # materialising an O(N) position map per call.
+            # already-updated global order index — one rank query per
+            # bisection step instead of materialising an O(N) position
+            # map per call.
             rank = self.nodes_in_order.position
             target = rank(node)
             lo, hi = 0, len(bucket)

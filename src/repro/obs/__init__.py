@@ -8,8 +8,8 @@ Three pieces (ISSUE 3 tentpole):
   timing with tag propagation; all wall-clock timing in ``src/`` flows
   through spans (enforced by analysis rule RPR006);
 * :class:`CostLedger` — the paper's cost units (labels compared,
-  middle-string bits, pages read/written, nodes re-labeled, treap
-  rotations) attributed to the operation that incurred them via the
+  middle-string bits, pages read/written, nodes re-labeled, SC groups
+  re-solved) attributed to the operation that incurred them via the
   active span's ``op`` tag.
 
 ``OBS`` is the module-level registry every instrumented module uses.

@@ -46,10 +46,6 @@ COST_UNITS: dict[str, tuple[str, str]] = {
         "bits",
         "total size of generated middle strings (Sec. 4.2 Theorem 2)",
     ),
-    "orderindex.rotations": (
-        "rotations",
-        "treap rebalancing work on the document-order index",
-    ),
     "pager.pages_read": (
         "pages",
         "label-store pages fetched (Sec. 7 I/O experiments)",

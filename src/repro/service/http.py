@@ -123,7 +123,16 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, payload, headers=headers)
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # int() would take "-1", and rfile.read(-1) blocks until the
+            # client hangs up.  Where the body ends is unknown, so close
+            # the connection after answering.
+            self.close_connection = True
+            raise ServiceError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
         if length > _MAX_BODY_BYTES:
             raise ServiceError(
                 f"request body of {length} bytes exceeds the "

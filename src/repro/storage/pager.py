@@ -15,10 +15,11 @@ contiguous records.
 
 Record byte offsets live in an :class:`~repro.core.orderindex.OrderStatisticTree`
 keyed by record ordinal with record sizes as weights, so a splice —
-which shifts every later ordinal — is O(log N) instead of the
-rebuild-the-whole-prefix-sum-array it used to cost, and offset lookups
-stay O(log N).  That keeps the simulator's own bookkeeping off the
-update path it is supposed to be measuring.
+which shifts every later ordinal — is one list splice inside one block
+instead of the rebuild-the-whole-prefix-sum-array it used to cost, and
+an offset lookup is a weight prefix over whole blocks plus a sum inside
+one.  That keeps the simulator's own bookkeeping off the update path it
+is supposed to be measuring.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class PageStore:
         return -(-total // self.page_bytes) if total else 0
 
     def _offset(self, record: int) -> int:
-        """Byte offset where record ``record`` begins — O(log N)."""
+        """Byte offset where record ``record`` begins — O(log(N/B) + B)."""
         return self._records.prefix_weight(record)
 
     def pages_of_range(self, first_record: int, last_record: int) -> int:
@@ -286,7 +287,7 @@ class PageStore:
         anchor_page = self._offset(position) // self.page_bytes
         log = self.undo_log
         if log is not None and (new_sizes or removed):
-            # Items ARE the record sizes, so slicing the treap before the
+            # Items ARE the record sizes, so slicing the index before the
             # delete captures everything the inverse splice needs.
             removed_sizes = (
                 list(self._records[position : position + removed])
@@ -330,7 +331,7 @@ class PageStore:
             )
         self.counter.reads += reads
         self.counter.writes += pages
-        # Fault point after the treap splice and pool invalidation so an
+        # Fault point after the offset splice and pool invalidation so an
         # injected write failure exercises the full inverse.
         self._write_pages(pages)
         if OBS.enabled:

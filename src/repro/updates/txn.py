@@ -1,7 +1,7 @@
 """Undo-log transactions: every engine op commits fully or not at all.
 
 A structural update touches many structures — the tree, the label map,
-the document-order treap, the tag index, the page store, its buffer
+the document-order index, the tag index, the page store, its buffer
 pool, and the cost ledger.  A failure between any two of those writes
 (a :class:`~repro.errors.RelabelRequired` the fallback cannot absorb, a
 storage fault, a plain bug) used to leave them mutually inconsistent.
@@ -78,7 +78,7 @@ class Transaction:
     to the labeled document (and the label store, when present).  A
     clean exit discards the log — commit is free.  An exceptional exit
     unwinds the log, restores the ledger (erasing any costs the aborted
-    half charged, including treap rotations paid *during* rollback),
+    half charged, including any paid *during* rollback),
     counts ``txn.rollbacks``, and re-raises as :class:`UpdateAborted`.
 
     Control-flow exceptions outside ``Exception`` (``KeyboardInterrupt``

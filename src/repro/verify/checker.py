@@ -14,7 +14,7 @@ of trusting cached state:
   and every label points at the group that actually contains it.
 * **storage** — the page store holds one record per node, every record
   size is non-negative, and the sizes sum to the store's byte total
-  (the offset treap's weight invariant); the SC file holds one record
+  (the offset index's weight invariant); the SC file holds one record
   per group.
 
 Checks report :class:`Violation` values rather than raising so a single

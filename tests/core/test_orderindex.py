@@ -1,12 +1,49 @@
-"""OrderStatisticTree: the treap behind the O(log N) update path."""
+"""OrderStatisticTree: the blocked sequence behind the update path."""
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate, islice
 
 import pytest
 
-from repro.core.orderindex import OrderStatisticTree
+from repro.core.orderindex import BLOCK_SIZE, OrderStatisticTree
+
+#: Churn shapes, as (initial items, longest run, steps): short runs
+#: from empty, and runs long enough that every program crosses many
+#: block boundaries, splits and merges whatever BLOCK_SIZE is.
+SHORT_RUNS = (0, 4, 400)
+MANY_BLOCKS = (10 * BLOCK_SIZE, 4 * BLOCK_SIZE, 100)
+
+
+def run_length(rng, max_run):
+    """Half the runs short, half up to ``max_run``: splices inside one
+    block and splices across blocks, at every document size."""
+    return rng.randint(1, rng.choice((4, max_run)))
+
+
+def assert_agrees(tree, oracle, rng, weights=None):
+    """Compare ``tree`` with the list it models.
+
+    Reads start at every position, so at every block start whatever
+    the block layout.  ``weights`` marks a weight-only tree, whose
+    prefix sums are checked everywhere; otherwise ranks are sampled.
+    """
+    assert list(tree) == oracle
+    assert len(tree) == len(oracle)
+    for position in range(len(oracle) + 1):
+        window = oracle[position : position + 2]
+        assert tree[position : position + 2] == window
+        assert list(islice(tree.iter_from(position), 2)) == window
+    if weights is not None:
+        prefix = [0, *accumulate(weights)]
+        assert tree.total_weight() == prefix[-1]
+        for position, expected in enumerate(prefix):
+            assert tree.prefix_weight(position) == expected
+    for i in rng.sample(range(len(oracle)), min(5, len(oracle))):
+        assert tree[i] is oracle[i]
+        if weights is None:
+            assert tree.position(oracle[i]) == i
 
 
 class TestConstruction:
@@ -70,13 +107,28 @@ class TestAccess:
 
 
 class TestIdentity:
-    def test_position_tracks_identity_not_equality(self):
-        # Two equal-but-distinct lists: position must distinguish them.
-        first, second = [1], [1]
-        tree = OrderStatisticTree([first, second], track_identity=True)
-        assert tree.position(first) == 0
-        assert tree.position(second) == 1
-        assert first in tree
+    @pytest.mark.parametrize(
+        "count",
+        [
+            pytest.param(2, id="2"),
+            pytest.param(10 * BLOCK_SIZE, id="many-blocks"),
+        ],
+    )
+    def test_position_tracks_identity_not_equality(self, count):
+        # Equal-but-distinct lists: position must distinguish them, also
+        # once splices have split and merged their blocks.
+        items = [[1] for _ in range(count)]
+        tree = OrderStatisticTree(items, track_identity=True)
+        assert [tree.position(item) for item in items] == list(range(count))
+        middle = count // 2
+        run = [[1] for _ in range(count)]
+        tree.insert_run(middle, run)
+        items[middle:middle] = run
+        tree.delete_run(middle // 2, count)
+        del items[middle // 2 : middle // 2 + count]
+        assert [tree.position(item) for item in items] == list(range(count))
+        assert items[0] in tree
+        assert run[0] not in tree
 
     def test_position_missing_item_raises(self):
         tree = OrderStatisticTree(["a"], track_identity=True)
@@ -130,28 +182,32 @@ class TestMutation:
 
 
 class TestModelBasedChurn:
-    """The treap must agree with a plain list under random churn.
-
-    This is the property the ISSUE demands: the order index and the
-    naive ``list``/``list.index`` oracle stay interchangeable through
-    arbitrary insert/delete/reposition programs.
+    """The order index must agree with a plain list under random churn:
+    the order index and the naive ``list``/``list.index`` oracle stay
+    interchangeable through arbitrary insert/delete/reposition programs,
+    down to empty and back.
     """
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_agrees_with_list_oracle(self, seed):
+    @pytest.mark.parametrize(
+        "seed, shape",
+        [pytest.param(seed, SHORT_RUNS, id=str(seed)) for seed in range(5)]
+        + [pytest.param(5, MANY_BLOCKS, id="many-blocks")],
+    )
+    def test_agrees_with_list_oracle(self, seed, shape):
+        initial, max_run, steps = shape
         rng = random.Random(seed)
-        oracle: list[object] = []
-        tree = OrderStatisticTree(track_identity=True)
-        for step in range(400):
+        oracle: list[object] = [object() for _ in range(initial)]
+        tree = OrderStatisticTree(oracle, track_identity=True)
+        for step in range(steps):
             action = rng.random()
             if action < 0.5 or not oracle:
                 position = rng.randint(0, len(oracle))
-                run = [object() for _ in range(rng.randint(1, 4))]
+                run = [object() for _ in range(run_length(rng, max_run))]
                 oracle[position:position] = run
                 tree.insert_run(position, run)
             elif action < 0.8:
                 position = rng.randrange(len(oracle))
-                count = min(rng.randint(1, 3), len(oracle) - position)
+                count = min(run_length(rng, max_run), len(oracle) - position)
                 expected = oracle[position : position + count]
                 del oracle[position : position + count]
                 assert tree.delete_run(position, count) == expected
@@ -165,27 +221,52 @@ class TestModelBasedChurn:
                 oracle.insert(destination, moved)
                 tree.insert_run(destination, [moved])
             if step % 20 == 0:
-                assert list(tree) == oracle
-                for i in rng.sample(range(len(oracle)), min(5, len(oracle))):
-                    assert tree.position(oracle[i]) == i
-                    assert tree[i] is oracle[i]
-        assert list(tree) == oracle
-        assert len(tree) == len(oracle)
+                assert_agrees(tree, oracle, rng)
+        assert_agrees(tree, oracle, rng)
+        while oracle:
+            position = rng.randrange(len(oracle))
+            count = min(run_length(rng, max_run), len(oracle) - position)
+            expected = oracle[position : position + count]
+            del oracle[position : position + count]
+            assert tree.delete_run(position, count) == expected
+        assert_agrees(tree, oracle, rng)
+        while len(oracle) < initial + max_run:
+            position = rng.randint(0, len(oracle))
+            run = [object() for _ in range(run_length(rng, max_run))]
+            oracle[position:position] = run
+            tree.insert_run(position, run)
+        assert_agrees(tree, oracle, rng)
 
-    def test_weighted_churn_prefix_sums(self):
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param(SHORT_RUNS, id="short-runs"),
+            pytest.param(MANY_BLOCKS, id="many-blocks"),
+        ],
+    )
+    def test_weighted_churn_prefix_sums(self, shape):
+        initial, max_run, steps = shape
         rng = random.Random(99)
-        sizes: list[int] = []
-        tree = OrderStatisticTree()
-        for _ in range(300):
+        sizes = [rng.randint(0, 50) for _ in range(initial)]
+        tree = OrderStatisticTree(sizes, weights=sizes)
+        for step in range(steps):
             if rng.random() < 0.6 or not sizes:
                 position = rng.randint(0, len(sizes))
-                run = [rng.randint(0, 50) for _ in range(rng.randint(1, 3))]
+                length = run_length(rng, max_run)
+                run = [rng.randint(0, 50) for _ in range(length)]
                 sizes[position:position] = run
                 tree.insert_run(position, run, weights=run)
             else:
                 position = rng.randrange(len(sizes))
-                del sizes[position]
-                tree.delete_run(position, 1)
-        assert tree.total_weight() == sum(sizes)
-        for position in range(0, len(sizes) + 1, 7):
-            assert tree.prefix_weight(position) == sum(sizes[:position])
+                count = min(run_length(rng, max_run), len(sizes) - position)
+                expected = sizes[position : position + count]
+                del sizes[position : position + count]
+                assert tree.delete_run(position, count) == expected
+            if step % 20 == 0:
+                assert_agrees(tree, sizes, rng, weights=sizes)
+        assert_agrees(tree, sizes, rng, weights=sizes)
+        tree.delete_run(0, len(sizes))
+        assert_agrees(tree, [], rng, weights=[])
+        sizes = [rng.randint(0, 50) for _ in range(initial + max_run)]
+        tree.insert_run(0, sizes, weights=sizes)
+        assert_agrees(tree, sizes, rng, weights=sizes)

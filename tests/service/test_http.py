@@ -9,10 +9,13 @@ shapes, the 400/404/409/503-style error mapping, and the pipelined
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -243,6 +246,31 @@ class TestErrorMapping:
         status, payload = call(server, "POST", "/docs", ["not", "an", "obj"])
         assert status == 400
         assert "JSON object" in payload["message"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, server, length):
+        def doc_ids():
+            documents = call(server, "GET", "/docs")[1]["documents"]
+            return {doc["doc_id"] for doc in documents}
+
+        before = doc_ids()
+        address = urlsplit(server)
+        body = json.dumps({"xml": XML}).encode("utf-8")
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=5.0
+        ) as sock:
+            sock.sendall(
+                b"POST /docs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + length.encode("ascii") + b"\r\n\r\n"
+                + body
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+        assert response.status == 400
+        assert "Content-Length" in payload["message"]
+        assert doc_ids() == before
 
 
 @pytest.fixture()
