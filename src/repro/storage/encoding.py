@@ -69,17 +69,30 @@ class EncodingError(ReproError):
 # ---------------------------------------------------------------------------
 
 class BitWriter:
-    """Accumulates bits MSB-first and renders zero-padded bytes."""
+    """Accumulates bits MSB-first and renders zero-padded bytes.
+
+    Fields collect in a small integer accumulator that spills its whole
+    bytes into a ``bytearray`` once it holds 64 bits or more, so a field
+    costs O(its width) whatever the length of the stream.
+    """
 
     def __init__(self) -> None:
-        self._value = 0
-        self._bits = 0
+        self._buffer = bytearray()
+        self._pending = 0
+        self._pending_bits = 0
 
     def write(self, value: int, width: int) -> None:
         if width < 0 or value < 0 or value.bit_length() > width:
             raise ValueError(f"{value} does not fit in {width} bits")
-        self._value = (self._value << width) | value
-        self._bits += width
+        pending = (self._pending << width) | value
+        bits = self._pending_bits + width
+        if bits >= 64:
+            keep = bits & 7
+            self._buffer += (pending >> keep).to_bytes(bits >> 3, "big")
+            pending &= (1 << keep) - 1
+            bits = keep
+        self._pending = pending
+        self._pending_bits = bits
 
     def write_bitstring(self, code: BitString) -> None:
         self.write(code.value, len(code))
@@ -89,28 +102,28 @@ class BitWriter:
             self.write_bitstring(BitString.from_str(text))
 
     def bit_length(self) -> int:
-        return self._bits
+        return len(self._buffer) * 8 + self._pending_bits
 
     def to_bytes(self) -> bytes:
-        padding = (-self._bits) % 8
-        total = self._bits + padding
-        if total == 0:
-            return b""
-        return (self._value << padding).to_bytes(total // 8, "big")
+        padding = -self._pending_bits % 8
+        tail = (self._pending << padding).to_bytes(
+            (self._pending_bits + padding) // 8, "big"
+        )
+        return b"".join((self._buffer, tail))
 
 
 class BitReader:
     """Reads MSB-first bits from bytes.
 
-    The whole buffer is converted to one big integer up front, so each
-    ``read`` is a shift and a mask instead of a per-bit loop — the
-    decoding mirror of :class:`BitWriter`'s packed accumulator, and the
+    Each ``read`` converts only the bytes its field spans and shifts and
+    masks that window, so a field costs O(its width) whatever the length
+    of the stream — the decoding mirror of :class:`BitWriter`, and the
     hot path of WAL frame and checkpoint-bundle label decoding.
     """
 
     def __init__(self, data: bytes) -> None:
+        self._data = data
         self._total_bits = len(data) * 8
-        self._packed = int.from_bytes(data, "big") if data else 0
         self._position = 0
 
     @property
@@ -131,7 +144,9 @@ class BitReader:
             )
         end = position + width
         self._position = end
-        return (self._packed >> (self._total_bits - end)) & ((1 << width) - 1)
+        last = (end + 7) >> 3
+        window = int.from_bytes(self._data[position >> 3:last], "big")
+        return (window >> ((last << 3) - end)) & ((1 << width) - 1)
 
     def read_bitstring(self, width: int) -> BitString:
         return BitString(self.read(width), width)
@@ -244,14 +259,16 @@ def encode_ordpath_component(writer: BitWriter, value: int) -> None:
     raise InvalidCodeError(f"ordinal component {value} outside Li/Oi buckets")
 
 
+_ORDPATH_BY_PREFIX = {li: (low, oi) for low, _, li, oi in ORDPATH_BUCKETS}
+_ORDPATH_LONGEST_LI = max(len(li) for li in _ORDPATH_BY_PREFIX)
+
+
 def decode_ordpath_component(reader: BitReader) -> int:
     prefix = ""
-    by_prefix = {li: (low, oi) for low, _, li, oi in ORDPATH_BUCKETS}
-    longest = max(len(li) for li in by_prefix)
-    while len(prefix) <= longest:
+    while len(prefix) <= _ORDPATH_LONGEST_LI:
         prefix += str(reader.read(1))
-        if prefix in by_prefix:
-            low, oi = by_prefix[prefix]
+        if prefix in _ORDPATH_BY_PREFIX:
+            low, oi = _ORDPATH_BY_PREFIX[prefix]
             return low + reader.read(oi)
     raise EncodingError(f"unknown OrdPath Li prefix {prefix!r}")
 

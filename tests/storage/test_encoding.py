@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitstring import BitString
+from repro.datasets.shakespeare import build_play
 from repro.errors import InvalidCodeError
 from repro.labeling import make_scheme, scheme_names
 from repro.storage.encoding import (
@@ -23,6 +28,26 @@ from repro.storage.encoding import (
 )
 
 from tests.conftest import make_small_document
+
+
+def _reference_stream(fields) -> bytes:
+    """The oracle writer: one big integer, MSB-first, zero-padded."""
+    value = bits = 0
+    for field, width in fields:
+        value = (value << width) | field
+        bits += width
+    padding = -bits % 8
+    return (value << padding).to_bytes((bits + padding) // 8, "big")
+
+
+# (value, width) fields with widths 0-200: a few dozen of them cross
+# many 64-bit accumulator flushes, at every bit alignment.
+_FIELDS = st.lists(
+    st.integers(0, 200).flatmap(
+        lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))
+    ),
+    max_size=80,
+)
 
 
 class TestBitIO:
@@ -59,15 +84,65 @@ class TestBitIO:
         reader = BitReader(writer.to_bytes())
         assert reader.read_bitstring(5).to01() == "01101"
 
-    @settings(max_examples=40)
-    @given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(21, 24)), max_size=20))
+    @settings(max_examples=60)
+    @given(_FIELDS)
     def test_property_roundtrip(self, fields):
         writer = BitWriter()
+        written = 0
         for value, width in fields:
             writer.write(value, width)
-        reader = BitReader(writer.to_bytes())
+            written += width
+            assert writer.bit_length() == written
+        data = writer.to_bytes()
+        assert data == _reference_stream(fields)
+
+        reader = BitReader(data)
+        total = len(data) * 8
+        consumed = 0
         for value, width in fields:
             assert reader.read(width) == value
+            consumed += width
+            assert reader.position == consumed
+            assert reader.remaining() == total - consumed
+        left = total - consumed
+        with pytest.raises(
+            EncodingError,
+            match=f"truncated: needed {left + 1} bits at offset {consumed}, have {left}$",
+        ):
+            reader.read(left + 1)  # one bit past the end
+        assert (reader.position, reader.remaining()) == (consumed, left)
+        assert reader.read(left) == 0  # the padding is zeros
+
+    def test_cost_is_linear_in_the_stream(self):
+        """Guards against a quadratic codec: 8x the fields may cost at
+        most 20x the time.  A per-field cost of O(width) gives about 8x;
+        re-shifting the whole stream for each field gives about 60x at
+        these sizes.  Only the ratio is checked, never an absolute time."""
+        rng = random.Random(16)
+        widths = (1, 2, 3, 8, 13, 16, 32, 57)
+
+        def make_fields(count):
+            return [
+                (rng.getrandbits(width), width)
+                for width in (rng.choice(widths) for _ in range(count))
+            ]
+
+        def best_of_3(fields):
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                writer = BitWriter()
+                for value, width in fields:
+                    writer.write(value, width)
+                reader = BitReader(writer.to_bytes())
+                for _, width in fields:
+                    reader.read(width)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        small, large = make_fields(5_000), make_fields(40_000)
+        ratio = best_of_3(large) / best_of_3(small)
+        assert ratio < 20, f"8x the fields cost {ratio:.1f}x the time"
 
 
 class TestUtf8Varint:
@@ -152,6 +227,62 @@ def _labels_equal(scheme, original, decoded) -> bool:
             for a, b in zip(original, decoded)
         )
     return original == decoded
+
+
+# SHA-256 of ``encode_labels`` for every scheme on
+# ``build_play("play", 600, seed=1601)``, and for V-CDBS after 24 inserts
+# at one gap (codes past the analytical length field, so the 16-bit
+# escape is on the wire).  The digests were computed with the
+# whole-stream big-int BitWriter that the byte-buffered writer replaced;
+# they pin the stream format, which that rewrite must not change.
+_GOLDEN_STREAMS = {
+    "Prime": "c2adf17331c80827a27dbd9f5aedba19b46b6d8242a5062297450df2ca54f02a",
+    "DeweyID(UTF8)-Prefix": "b4ba875fb8630efc8d912a482ad0f9577d83aad669f54dc6f601d4e00f2b8aa7",
+    "Binary-String-Prefix": "08b450fd0b6eebfb264d26511fa76763f030905bddc4f94e3bc90fabf7fa01a4",
+    "OrdPath1-Prefix": "7c3e5ef5f4d68fceb02483c025651408d47f19c0eabfddfe5d70bb75f0cae136",
+    "OrdPath2-Prefix": "7c3e5ef5f4d68fceb02483c025651408d47f19c0eabfddfe5d70bb75f0cae136",
+    "CDBS(UTF8)-Prefix": "0dc8bc025ae74a231e6b080901558d4000d18fc90d0e83f1d62775286a6fba9d",
+    "QED-Prefix": "8f3e210c00f67f4cbb4a5bb13190e5e1360d4769b6e8e9b6084cd671c87a43e8",
+    "Float-point-Containment": "71eb386273198820f8448aa8cb39fcaa3183e89d8dc0be6c0c961426acaa648a",
+    "V-Binary-Containment": "066348a8ed4cdb2d05b8535befb87a722f49e30d8c5b92934db2ecab963edaa6",
+    "F-Binary-Containment": "2659e35f44a885b22019f41fe3b0a7e832a7d6d1baba8a1e4920b7f2f4a6ec0c",
+    "V-CDBS-Containment": "746625071973cc1c9576aaf7778261a939b6157d963fbd9f79bde04adab32baf",
+    "F-CDBS-Containment": "0c98f503790e371f79496695e80bdd9e440ad9799c9768f6f91117af222aef63",
+    "QED-Containment": "2afb16c9f0c09e52cafc2cc15dabf9b006f485e6890ad6bcc60a999b1f41ecdf",
+    "Gapped-Containment": "e95bfbfd9773791adcbe3805bec620a085002823529afd4c8a8a580b67ecd6a7",
+    "Adaptive-CDBS-Containment": "746625071973cc1c9576aaf7778261a939b6157d963fbd9f79bde04adab32baf",
+}
+_GOLDEN_VCDBS_ESCAPED = "7f4a352a6322dd54e863232aff4aa4133a83460f1ad80b49582972316b018b03"
+
+
+def _assert_golden(scheme, labeled, digest) -> None:
+    blob = encode_labels(labeled)
+    assert hashlib.sha256(blob).hexdigest() == digest
+    original = [labeled.label_of(n) for n in labeled.nodes_in_order]
+    assert _labels_equal(scheme, original, decode_labels(scheme, blob))
+
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("scheme_name", scheme_names())
+    def test_stream_digest(self, scheme_name):
+        scheme = make_scheme(scheme_name)
+        labeled = scheme.label_document(build_play("play", 600, seed=1601))
+        _assert_golden(scheme, labeled, _GOLDEN_STREAMS[scheme_name])
+
+    def test_vcdbs_length_escape_digest(self):
+        from repro.updates import UpdateEngine
+        from repro.xmltree import Node
+
+        document = build_play("play", 600, seed=1601)
+        scheme = make_scheme("V-CDBS-Containment")
+        labeled = scheme.label_document(document)
+        engine = UpdateEngine(labeled, with_storage=False)
+        for _ in range(24):
+            engine.insert_child(document.root, Node.element("n"), 0)
+        escape = (1 << scheme.codec.field_bits) - 1
+        longest = max(len(labeled.label_of(n).start) for n in labeled.nodes_in_order)
+        assert longest - 1 >= escape  # the stream carries escaped lengths
+        _assert_golden(scheme, labeled, _GOLDEN_VCDBS_ESCAPED)
 
 
 class TestLabelStreams:
