@@ -139,6 +139,11 @@ class LabeledDocument:
         """
         return self.nodes_in_order.position(node)
 
+    def parent_of(self, node: Node) -> Node | None:
+        """``node``'s parent in the live tree (a read view answers this
+        from its frozen parents instead)."""
+        return node.parent
+
     # -- structural splices (undo-aware tree edits) -------------------------
 
     def splice_in(self, parent: Node, index: int, child: Node) -> Node:

@@ -24,9 +24,7 @@ The codecs deliberately reproduce each approach's failure mode:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.core import bitstring as _bitstring
 from repro.core.bitstring import BitString
@@ -34,6 +32,9 @@ from repro.core.cdbs import vcdbs_encode
 from repro.core.middle import assign_middle_binary_string
 from repro.core.qed import assign_middle_quaternary, qed_encode, qed_stored_bits
 from repro.errors import PrecisionExhausted, RelabelRequired
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntervalCodec",
@@ -241,11 +242,15 @@ class FloatPointCodec(IntervalCodec):
     dynamic = True
 
     def bulk(self, count: int) -> list[np.float32]:
+        import numpy as np  # only this codec needs it; keep it off other imports
+
         return [np.float32(i) for i in range(1, count + 1)]
 
     def between(
         self, left: np.float32 | None, right: np.float32 | None
     ) -> np.float32:
+        import numpy as np
+
         left_value = np.float32(0.0) if left is None else left
         if right is None:
             return np.float32(left_value + np.float32(1.0))

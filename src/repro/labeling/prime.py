@@ -29,8 +29,6 @@ import math
 from functools import partial
 from itertools import islice
 
-import numpy as np
-
 from repro.faults import FAULTS
 from repro.labeling.base import LabeledDocument, LabelingScheme, UpdateStats
 from repro.obs import OBS
@@ -56,6 +54,8 @@ def first_primes(count: int, *, minimum: int = _MIN_PRIME) -> list[int]:
         raise ValueError(f"count must be non-negative, got {count}")
     if count == 0:
         return []
+    import numpy as np  # only Prime needs it; keep it off other imports
+
     # Upper bound for the (count + small slack)-th prime.
     need = count + 8  # slack for the primes below `minimum` we discard
     if need < 6:

@@ -13,28 +13,43 @@ What is copied and what is shared
 ---------------------------------
 
 The view copies the *label-driven* state: the label map, the document
-order (as a flat tuple — views never splice), the tag index, and the
-serialized XML text.  The :class:`~repro.xmltree.node.Node` objects
-themselves are shared with the live tree, which is safe for everything
-the paper's query model needs — node names/kinds are immutable, and
-every structural decision (ancestry, order, siblinghood) is made from
-the view's own labels through the scheme's predicates.  The one caveat:
-axes that chase live ``parent``/``children`` pointers (XPath ``parent``)
-see the tree as it is *now*, not at the view's version; the service's
-query endpoints are label-driven, and :meth:`LabelView.serialize`
-returns the text captured at the version boundary.
+order (as a flat tuple — views never splice), the tag index, and each
+entry's parent (a tuple aligned with the order).  It copies no text.
+The :class:`~repro.xmltree.node.Node` objects themselves are shared
+with the live tree; a view reads only what no update mutates — each
+node's ``kind``, ``name`` and ``value`` — and never the live
+``parent``/``children`` pointers.  Ancestry, order and siblinghood are
+decided from the view's own labels through the scheme's predicates;
+the parent axis (and the parent key of containment labels, which do not
+encode their parent) comes from the frozen parents through
+:meth:`LabelView.parent_of`.  So every answer is the answer as of the
+view's version, however the writer has moved, deleted or inserted
+nodes since.
 
 The scheme object is shared too: its predicates are pure functions of
 the labels they are given.  (Scheme *codec* state advances as the writer
 relabels, but already-minted label objects are immutable values.)
 
-Capture cost is O(N) in document size and is paid by the writer once
-per committed batch — group commit amortizes it across the commits in
-the batch, the same way it amortizes the fsync.
+What capture costs
+------------------
+
+:func:`capture` makes four O(N) pointer copies (labels, order, tag
+index, parents) and no text work; the writer pays it once per committed
+batch, before the batch's acks.  Everything else is built on the first
+read that needs it and memoized on the view with one reference
+assignment, so concurrent readers never see a half-built value (two
+racing readers may both build it; they build the same thing):
+
+* :meth:`LabelView.serialize` builds the text from the frozen order and
+  parents — byte-identical to ``serialize_document`` of the live
+  document at the view's version — on its first call;
+* :meth:`LabelView.position_of` builds the node-to-position map on its
+  first call.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Iterator
 
 from repro.labeling.base import LabeledDocument
@@ -51,11 +66,16 @@ class LabelView:
     Duck-compatible with the slice of :class:`LabeledDocument` the query
     engine reads (``scheme``, ``document``, ``labels``,
     ``nodes_in_order``, ``tag_index``, :meth:`label_of`,
-    :meth:`tag_label_bytes`), so ``QueryEngine(view)`` evaluates Table 3
-    queries against the snapshot without special cases.  Never mutated
-    after construction; the derived tag-byte memo is maintained by
-    whole-dict replacement so concurrent readers only ever observe a
-    complete map.
+    :meth:`parent_of`, :meth:`tag_label_bytes`), so ``QueryEngine(view)``
+    evaluates Table 3 queries against the snapshot without special
+    cases.  ``parents[i]`` is the parent of ``nodes_in_order[i]`` at
+    this version (``None`` for the root).  The view holds no text: the
+    first :meth:`serialize` builds it, and the first
+    :meth:`position_of` builds the position map.  Never mutated after
+    construction except for those memos, each set by one reference
+    assignment; the tag-byte memo is maintained by whole-dict
+    replacement, so concurrent readers only ever observe a complete
+    value.
     """
 
     __slots__ = (
@@ -65,7 +85,8 @@ class LabelView:
         "labels",
         "nodes_in_order",
         "tag_index",
-        "xml",
+        "parents",
+        "_xml",
         "_positions",
         "_tag_bytes",
     )
@@ -79,7 +100,7 @@ class LabelView:
         labels: dict[int, Any],
         nodes_in_order: tuple[Node, ...],
         tag_index: dict[str, tuple[Node, ...]],
-        xml: str,
+        parents: tuple[Node | None, ...],
     ) -> None:
         self.version = version
         self.scheme = scheme
@@ -87,7 +108,8 @@ class LabelView:
         self.labels = labels
         self.nodes_in_order = nodes_in_order
         self.tag_index = tag_index
-        self.xml = xml
+        self.parents = parents
+        self._xml: str | None = None
         self._positions: dict[int, int] | None = None
         self._tag_bytes: dict[str | None, int] = {}
 
@@ -125,6 +147,10 @@ class LabelView:
             self._positions = positions
         return positions[id(node)]
 
+    def parent_of(self, node: Node) -> Node | None:
+        """``node``'s parent at this version, whatever the writer did since."""
+        return self.parents[self.position_of(node)]
+
     def total_label_bits(self) -> int:
         bits = self.scheme.label_bits
         return sum(bits(label) for label in self.labels.values())
@@ -154,8 +180,25 @@ class LabelView:
         return total
 
     def serialize(self) -> str:
-        """The document text as of this version (captured, not re-walked)."""
-        return self.xml
+        """The document text as of this version, built on the first call.
+
+        Walks the frozen order and parents only, so the bytes are those
+        ``serialize_document`` gave the live document at this version.
+        Every later call returns the same string object.
+        """
+        text = self._xml
+        if text is None:
+            # Nodes hash by identity.  The root lands under ``None``,
+            # which the walk never asks for.
+            children: defaultdict[Node | None, list[Node]] = defaultdict(list)
+            for node, parent in zip(self.nodes_in_order, self.parents):
+                children[parent].append(node)
+            # The walk starts at ``document.root``, which no update replaces.
+            text = serialize_document(
+                self.document, children_of=lambda node: children.get(node, ())
+            )
+            self._xml = text
+        return text
 
     def __repr__(self) -> str:
         return (
@@ -170,15 +213,18 @@ def capture(labeled: LabeledDocument, version: int) -> LabelView:
     Must be called from the document's writer (or any point where no
     mutation is in flight): the copies below iterate live structures.
     The service calls it at batch boundaries, after the batch fsync.
+    Pointer copies only; the text is built on the view's first
+    :meth:`LabelView.serialize`.
     """
+    order = tuple(labeled.nodes_in_order)
     return LabelView(
         version=version,
         scheme=labeled.scheme,
         document=labeled.document,
         labels=dict(labeled.labels),
-        nodes_in_order=tuple(labeled.nodes_in_order),
+        nodes_in_order=order,
         tag_index={
             tag: tuple(nodes) for tag, nodes in labeled.tag_index.items()
         },
-        xml=serialize_document(labeled.document),
+        parents=tuple(node.parent for node in order),
     )

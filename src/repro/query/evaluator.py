@@ -124,13 +124,15 @@ class QueryEngine:
         if step.axis == "ancestor":
             return join_ancestor(self.labeled, context, candidates)
         if step.axis == "parent":
-            # Parent navigation uses the tree's parent pointer (as any
-            # real evaluator would); the node test still filters.
+            # Parent navigation follows the document's parent pointer
+            # (a read view's frozen one, as of its version); the node
+            # test still filters.
             allowed = {id(node) for node in candidates}
             out: list[Node] = []
             seen: set[int] = set()
+            parent_of = self.labeled.parent_of
             for ctx in context:
-                parent = ctx.parent
+                parent = parent_of(ctx)
                 if (
                     parent is not None
                     and id(parent) in allowed

@@ -35,8 +35,9 @@ def parent_key(labeled: LabeledDocument, node: Node) -> Any:
 
     Used to group step results for positional predicates.  The prefix
     and prime families derive it from the label; containment labels do
-    not encode parent identity, so the tree's parent pointer stands in
-    (as a real system's level stack would).
+    not encode parent identity, so the document's parent pointer stands
+    in (as a real system's level stack would) — a read view's frozen
+    one, so the key holds as of the view's version.
     """
     scheme = labeled.scheme
     label = labeled.label_of(node)
@@ -44,7 +45,7 @@ def parent_key(labeled: LabeledDocument, node: Node) -> Any:
         return label[:-1] if label else None
     if scheme.family == "prime":
         return label.product // label.self_label
-    return id(node.parent)
+    return id(labeled.parent_of(node))
 
 
 # ---------------------------------------------------------------------------

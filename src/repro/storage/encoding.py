@@ -37,8 +37,6 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.core.bitstring import BitString
 from repro.errors import InvalidCodeError, ReproError
 from repro.labeling.base import LabeledDocument
@@ -368,6 +366,7 @@ def _containment_codec(scheme: ContainmentScheme) -> LabelStreamCodec:
             return reader.read(width)
 
     elif name == "float-point":
+        import numpy as np  # only this codec needs it; keep it off other imports
 
         def write_value(writer: BitWriter, value) -> None:
             (packed,) = struct.unpack(">I", struct.pack(">f", float(value)))
