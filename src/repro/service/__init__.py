@@ -27,10 +27,13 @@ registry of per-document handles and is equally usable in-process (the
 throughput bench drives it directly).  See ``DESIGN.md`` §11 and
 ``docs/ROBUSTNESS.md`` for the ack/durability contract and the crash
 matrix extension (``make crash`` kills the writer mid-batch).
+
+``make_server`` and ``serve`` are resolved on first use, so an
+in-process user never loads the HTTP stack (``http.server``, ``ssl``,
+``email`` and the rest).
 """
 
 from repro.service.core import DocumentService, ServiceConfig
-from repro.service.http import make_server, serve
 from repro.service.registry import DocumentHandle, DocumentRegistry
 from repro.service.writer import DocumentWriter, UpdateRequest
 
@@ -44,3 +47,11 @@ __all__ = [
     "make_server",
     "serve",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("make_server", "serve"):
+        from repro.service import http
+
+        return getattr(http, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

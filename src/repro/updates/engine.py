@@ -110,8 +110,12 @@ class UpdateEngine:
             resumes its LSN lineage.
         wal: a pre-built :class:`repro.wal.WalManager` (overrides
             ``wal_dir``), for tests that tune the checkpoint policy.
-        wal_checkpoint_commits / wal_checkpoint_bytes: the K/B
-            checkpoint policy when the engine builds the manager itself.
+        wal_checkpoint_commits / wal_checkpoint_bytes: explicit K/B
+            checkpoint thresholds when the engine builds the manager
+            itself.  Left at ``None``, a checkpoint is due once the log
+            is as large as the newest bundle, and at least
+            :data:`repro.wal.writer.CHECKPOINT_MIN_LOG_BYTES`; see
+            :class:`repro.wal.WalManager`.
     """
 
     def __init__(
@@ -124,8 +128,8 @@ class UpdateEngine:
         durability: str = "off",
         wal_dir=None,
         wal: WalManager | None = None,
-        wal_checkpoint_commits: int = 64,
-        wal_checkpoint_bytes: int = 256 * 1024,
+        wal_checkpoint_commits: int | None = None,
+        wal_checkpoint_bytes: int | None = None,
     ) -> None:
         if durability not in DURABILITY_MODES:
             raise ValueError(
@@ -250,7 +254,7 @@ class UpdateEngine:
             self._group = None
 
     def maybe_checkpoint(self) -> None:
-        """Checkpoint the WAL if its K-commits / B-bytes policy is due."""
+        """Checkpoint the WAL if its policy says it is due."""
         if self.wal is not None:
             self.wal.maybe_checkpoint()
 

@@ -23,15 +23,19 @@ Durability protocol (single writer, redo-only):
   now be ahead of the log, so the only way forward is
   :func:`repro.wal.recover` over the directory (the service's
   quarantine-and-heal).
-* **Checkpoint.**  Every K commits or B log bytes (:meth:`maybe_checkpoint`,
-  run by the caller *after* the batch's flush), the manager
-  writes a full bundle at the current watermark (site
-  ``wal.checkpoint_write``; the write itself is atomic via
+* **Checkpoint.**  Once the log holds as many bytes as the newest
+  bundle, and at least :data:`CHECKPOINT_MIN_LOG_BYTES`
+  (:meth:`maybe_checkpoint`, run by the caller *after* the batch's
+  flush), the manager writes a full bundle at the current watermark
+  (site ``wal.checkpoint_write``; the write itself is atomic via
   :func:`repro.storage.atomicio.atomic_write_bytes`), then truncates the
   log (site ``wal.checkpoint_truncate``, also an atomic replace) and
   unlinks older bundles.  A crash between the two leaves the new bundle
   *and* the full log: recovery skips records at or below the bundle's
-  watermark — the idempotency path.
+  watermark — the idempotency path.  The rule keeps both durable costs
+  in proportion to the log: the bundle bytes written never exceed the
+  logged bytes plus the newest bundle, and replay reads at most about
+  one bundle's worth of log (DESIGN.md §9).
 * **Reopen.**  Constructing a manager over an existing directory scans
   the log tolerantly, physically truncates a torn tail, and resumes LSN
   assignment after the highest durable record.
@@ -72,12 +76,19 @@ __all__ = [
     "CheckpointReceipt",
     "BatchReceipt",
     "LOG_NAME",
+    "CHECKPOINT_MIN_LOG_BYTES",
     "checkpoint_files",
     "checkpoint_watermark",
 ]
 
 LOG_NAME = "wal.log"
 _CKPT_RE = re.compile(r"^ckpt-(\d+)\.labels$")
+
+# The default policy checkpoints once the log is as large as the newest
+# bundle, but never below this many log bytes: a small document's bundle
+# is a few hundred bytes, and without a floor it would checkpoint (four
+# fsyncs) every couple of commits.
+CHECKPOINT_MIN_LOG_BYTES = 256 * 1024
 
 
 def checkpoint_files(directory: "str | Path") -> list[tuple[int, Path]]:
@@ -159,10 +170,16 @@ class WalManager:
             record labels minted by its scheme.
         io_model: per-page costs for fsync/checkpoint modeling
             (defaults to the page store's 8 ms/page).
-        checkpoint_every_commits / checkpoint_every_bytes: the K/B
-            checkpoint policy thresholds.
+        checkpoint_every_commits / checkpoint_every_bytes: explicit
+            K/B thresholds.  By default (both ``None``) a checkpoint is
+            due once the log holds ``max(CHECKPOINT_MIN_LOG_BYTES,
+            bundle_bytes)`` bytes.  A K checkpoints after K commits as
+            well; a B replaces that byte rule with a fixed B.
         page_bytes: page size used to convert byte counts to modeled
             page writes.
+
+    ``bundle_bytes`` is the size of the newest bundle: the one this
+    manager last wrote, or on reopen the newest one on disk.
     """
 
     def __init__(
@@ -171,14 +188,16 @@ class WalManager:
         labeled,
         *,
         io_model: IOCostModel | None = None,
-        checkpoint_every_commits: int = 64,
-        checkpoint_every_bytes: int = 256 * 1024,
+        checkpoint_every_commits: int | None = None,
+        checkpoint_every_bytes: int | None = None,
         page_bytes: int = DEFAULT_PAGE_BYTES,
     ) -> None:
-        if checkpoint_every_commits < 1:
-            raise ValueError("checkpoint_every_commits must be >= 1")
-        if checkpoint_every_bytes < 1:
-            raise ValueError("checkpoint_every_bytes must be >= 1")
+        for name, limit in (
+            ("checkpoint_every_commits", checkpoint_every_commits),
+            ("checkpoint_every_bytes", checkpoint_every_bytes),
+        ):
+            if limit is not None and limit < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.labeled = labeled
@@ -193,6 +212,7 @@ class WalManager:
         self._durable_lsn = 0  # the last LSN the log holds
         self.commits_since_checkpoint = 0
         self.bytes_since_checkpoint = 0
+        self.bundle_bytes = 0
         self._sweep_stray_temp_files()
         if checkpoint_files(self.directory):
             self._reopen()
@@ -361,10 +381,20 @@ class WalManager:
     # -- checkpointing -----------------------------------------------------
 
     def maybe_checkpoint(self) -> CheckpointReceipt | None:
-        """Checkpoint if the K-commits / B-bytes policy says it is due."""
-        if (
-            self.commits_since_checkpoint < self.checkpoint_every_commits
-            and self.bytes_since_checkpoint < self.checkpoint_every_bytes
+        """Checkpoint if the policy says it is due.
+
+        By default that is once the log holds as many bytes as the
+        newest bundle, and at least :data:`CHECKPOINT_MIN_LOG_BYTES`.
+        An explicit B replaces that byte threshold; an explicit K makes
+        K commits due as well.
+        """
+        byte_limit = self.checkpoint_every_bytes
+        if byte_limit is None:
+            byte_limit = max(CHECKPOINT_MIN_LOG_BYTES, self.bundle_bytes)
+        commit_limit = self.checkpoint_every_commits
+        if self.bytes_since_checkpoint < byte_limit and (
+            commit_limit is None
+            or self.commits_since_checkpoint < commit_limit
         ):
             return None
         return self.checkpoint()
@@ -397,6 +427,7 @@ class WalManager:
                 old_path.unlink()
         self.commits_since_checkpoint = 0
         self.bytes_since_checkpoint = 0
+        self.bundle_bytes = bundle_bytes
         pages = self._pages_for(bundle_bytes) + 1  # bundle + log truncate
         io_seconds = self.io_model.cost(0, pages)
         charges = {
@@ -418,7 +449,8 @@ class WalManager:
 
     def _reopen(self) -> None:
         """Resume over an existing directory: fix the tail, continue LSNs."""
-        watermark = checkpoint_files(self.directory)[0][0]
+        watermark, newest = checkpoint_files(self.directory)[0]
+        self.bundle_bytes = newest.stat().st_size
         data = self.log_path.read_bytes() if self.log_path.exists() else b""
         payloads, tail = scan_frames(data)
         if not tail.clean:

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import UpdateAborted
+from repro.errors import SimulatedCrash, UpdateAborted
 from repro.faults import FAULTS, FaultPlan
 from repro.labeling import make_scheme
 from repro.obs import OBS
 from repro.updates import UpdateEngine, apply_churn_op, churn_script
 from repro.wal import WalManager, decode_frames, recover
-from repro.wal.writer import LOG_NAME, checkpoint_files
+from repro.wal.writer import (
+    CHECKPOINT_MIN_LOG_BYTES,
+    LOG_NAME,
+    checkpoint_files,
+)
 from repro.xmltree import Node
 
 from tests.wal.walutil import build_wal_engine, logical_state, seed_document
@@ -30,6 +34,14 @@ def clean_slate():
 
 def log_bytes(engine):
     return (engine.wal.directory / LOG_NAME).read_bytes()
+
+
+def default_policy_engine(wal_dir):
+    """An engine whose manager runs the default checkpoint policy."""
+    labeled = make_scheme(SCHEME).label_document(seed_document())
+    return UpdateEngine(
+        labeled, with_storage=True, durability="wal", wal_dir=wal_dir
+    )
 
 
 class TestFreshDirectory:
@@ -117,6 +129,97 @@ class TestCheckpointPolicy:
             WalManager(tmp_path, labeled, checkpoint_every_commits=0)
         with pytest.raises(ValueError):
             WalManager(tmp_path / "b", labeled, checkpoint_every_bytes=0)
+
+    def test_default_policy_waits_for_the_log_floor(self, tmp_path):
+        """A small document checkpoints once, when the log crosses the
+        floor, and not at any commit count on the way there."""
+        OBS.enabled = True  # for each op's frame size in its costs
+        engine = default_policy_engine(tmp_path)
+        wal = engine.wal
+        assert wal.checkpoint_every_commits is None
+        assert wal.checkpoint_every_bytes is None
+        assert wal.bundle_bytes < CHECKPOINT_MIN_LOG_BYTES
+        root = engine.labeled.document.root
+        commits = 0
+        while checkpoint_files(tmp_path)[0][0] == 0:
+            logged = wal.bytes_since_checkpoint
+            assert logged < CHECKPOINT_MIN_LOG_BYTES
+            node = Node.element(f"b{commits}")
+            node.append_child(Node.text("x" * 2000))
+            result = engine.insert_child(root, node)
+            commits += 1
+        assert commits > 64  # the retired commit trigger would fire here
+        assert [w for w, _ in checkpoint_files(tmp_path)] == [commits]
+        # The last commit's frame took the log across the floor, and its
+        # checkpoint emptied the log.
+        frame = result.costs["wal.bytes_appended"]
+        assert logged + frame >= CHECKPOINT_MIN_LOG_BYTES
+        assert log_bytes(engine) == b""
+        for index in range(8):
+            engine.insert_child(root, Node.element(f"after{index}"))
+        assert [w for w, _ in checkpoint_files(tmp_path)] == [commits]
+
+    def test_byte_rule_fires_at_the_newest_bundle_size(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("repro.wal.writer.CHECKPOINT_MIN_LOG_BYTES", 1)
+        engine = default_policy_engine(tmp_path)
+        wal = engine.wal
+        root = engine.labeled.document.root
+        receipts = []
+        for index in range(40):
+            with engine.commit_group():
+                engine.insert_child(root, Node.element(f"n{index}"))
+            logged, limit = wal.bytes_since_checkpoint, wal.bundle_bytes
+            receipt = wal.maybe_checkpoint()
+            assert (receipt is not None) == (logged >= limit)
+            if receipt is not None:
+                receipts.append(receipt)
+                assert wal.bundle_bytes == receipt.bundle_bytes
+                assert receipt.path.stat().st_size == receipt.bundle_bytes
+        assert len(receipts) >= 3
+        # The document grew, so each bundle sets a higher bar.
+        sizes = [receipt.bundle_bytes for receipt in receipts]
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+
+    def test_reopen_takes_bundle_bytes_from_the_newest_bundle(self, tmp_path):
+        engine = build_wal_engine(SCHEME, tmp_path)
+        root = engine.labeled.document.root
+        for index in range(20):
+            engine.insert_child(root, Node.element(f"n{index}"))
+        # A crash before the truncate leaves the old bundle beside the
+        # new, larger one.
+        with FAULTS.armed(FaultPlan.crash("wal.checkpoint_truncate", at=1)):
+            with pytest.raises(SimulatedCrash):
+                engine.wal.checkpoint()
+        (_, newest), (_, oldest) = checkpoint_files(tmp_path)
+        assert newest.stat().st_size > oldest.stat().st_size
+
+        reopened = WalManager(tmp_path, recover(tmp_path).labeled)
+        assert reopened.bundle_bytes == newest.stat().st_size
+
+    def test_bundle_bytes_stay_within_logged_bytes_plus_one_bundle(
+        self, tmp_path, monkeypatch
+    ):
+        """Checkpoint writes follow the log: every bundle but the newest
+        was paid for by at least as many logged bytes."""
+        monkeypatch.setattr("repro.wal.writer.CHECKPOINT_MIN_LOG_BYTES", 1)
+        engine = default_policy_engine(tmp_path)
+        wal = engine.wal
+        written, logged, checkpoints = wal.bundle_bytes, 0, 0
+        script = churn_script(120, 5)
+        for start in range(0, len(script), 4):
+            with engine.commit_group() as group:
+                for op in script[start : start + 4]:
+                    apply_churn_op(engine, op)
+            if group.batch is not None:
+                logged += group.batch.frame_bytes
+            receipt = wal.maybe_checkpoint()
+            if receipt is not None:
+                written += receipt.bundle_bytes
+                checkpoints += 1
+        assert checkpoints >= 3
+        assert written <= logged + wal.bundle_bytes
 
 
 class TestReopen:
