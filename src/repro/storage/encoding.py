@@ -326,8 +326,9 @@ class LabelStreamCodec:
     def encode(self, labels: list[Any]) -> bytes:
         writer = BitWriter()
         writer.write(len(labels), 32)
+        write_label = self._write_label
         for label in labels:
-            self._write_label(writer, label)
+            write_label(writer, label)
         return writer.to_bytes()
 
     def decode(self, data: bytes) -> list[Any]:
@@ -391,21 +392,32 @@ def _containment_codec(scheme: ContainmentScheme) -> LabelStreamCodec:
         # decode agree across a save/load cycle.
         field = codec._field_bits  # noqa: SLF001
         escape = (1 << field) - 1
+        long_prefix = escape << 16
 
-        def write_value(writer: BitWriter, value: BitString) -> None:
-            length = len(value)
-            if length < 1:
-                raise InvalidCodeError("V-CDBS codes are never empty")
-            if length - 1 < escape:
-                writer.write(length - 1, field)
-            elif length >= (1 << 16):
-                raise InvalidCodeError(
-                    f"{length}-bit code exceeds the escaped length field"
-                )
-            else:
-                writer.write(escape, field)
-                writer.write(length, 16)
-            writer.write_bitstring(value)
+        def write_label(writer: BitWriter, label: ContainmentLabel) -> None:
+            # The whole label, prefix|start|prefix|end|level, is one
+            # write.  Only a code's public ``value`` and ``len`` are
+            # read, so the reference codec runs this too.
+            level = label.level
+            if not 0 <= level < 256:
+                raise InvalidCodeError(f"level {level} exceeds one byte")
+            bits = width = 0
+            for code in (label.start, label.end):
+                length = len(code)
+                if 0 < length <= escape:
+                    bits = (bits << field | length - 1) << length | code.value
+                    width += field + length
+                elif length < 1:
+                    raise InvalidCodeError("V-CDBS codes are never empty")
+                elif length < (1 << 16):
+                    bits = (bits << field + 16 | long_prefix | length) << length
+                    bits |= code.value
+                    width += field + 16 + length
+                else:
+                    raise InvalidCodeError(
+                        f"{length}-bit code exceeds the escaped length field"
+                    )
+            writer.write(bits << 8 | level, width + 8)
 
         def read_value(reader: BitReader) -> BitString:
             prefix = reader.read(field)
@@ -428,12 +440,14 @@ def _containment_codec(scheme: ContainmentScheme) -> LabelStreamCodec:
     else:
         raise KeyError(f"no stream framing for containment codec {name!r}")
 
-    def write_label(writer: BitWriter, label: ContainmentLabel) -> None:
-        write_value(writer, label.start)
-        write_value(writer, label.end)
-        if not 0 <= label.level < 256:
-            raise InvalidCodeError(f"level {label.level} exceeds one byte")
-        writer.write(label.level, 8)
+    if name != "v-cdbs":
+
+        def write_label(writer: BitWriter, label: ContainmentLabel) -> None:
+            write_value(writer, label.start)
+            write_value(writer, label.end)
+            if not 0 <= label.level < 256:
+                raise InvalidCodeError(f"level {label.level} exceeds one byte")
+            writer.write(label.level, 8)
 
     def read_label(reader: BitReader) -> ContainmentLabel:
         start = read_value(reader)

@@ -217,9 +217,8 @@ class WalManager:
         if checkpoint_files(self.directory):
             self._reopen()
         else:
+            # Writes the bundle at watermark 0 and the (empty) log.
             self.checkpoint()
-            if not self.log_path.exists():
-                atomic_write_bytes(self.log_path, b"")
 
     def _sweep_stray_temp_files(self) -> None:
         """Remove ``*.tmp`` leftovers of a crashed ``atomic_write_bytes``.

@@ -1,10 +1,11 @@
 """Streaming XML: pull-based parse events and single-pass loading.
 
 Bulk-loading a labeled store does not need a materialized tree first:
-this module exposes the parser as a *pull* event stream
-(:func:`iterparse`) plus helpers to rebuild documents from events.  The
-event stream is also the natural seam for progress reporting and for
-cutting off oversized inputs — both demonstrated by ``max_events``.
+:func:`iterparse` is the parser's own token scan yielding *pull*
+events instead of building nodes, and this module rebuilds documents
+from such events.  The event stream is also the natural seam for
+progress reporting and for cutting off oversized inputs — both
+demonstrated by ``max_events``.
 
 Events are ``(kind, value)`` tuples in document order:
 
@@ -19,163 +20,14 @@ Events are ``(kind, value)`` tuples in document order:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import XMLParseError
 from repro.xmltree.document import Document
 from repro.xmltree.node import Node
-from repro.xmltree.parser import (
-    _Cursor,
-    _decode_entities,
-    _parse_misc,
-)
+from repro.xmltree.parser import Event, iterparse
 
 __all__ = ["iterparse", "build_from_events", "parse_document_streaming"]
-
-Event = tuple[str, object]
-
-
-def iterparse(
-    text: str,
-    *,
-    keep_whitespace: bool = False,
-    keep_comments: bool = False,
-    max_events: int | None = None,
-) -> Iterator[Event]:
-    """Yield parse events for one XML document.
-
-    ``max_events`` guards against unboundedly large inputs: the stream
-    raises :class:`XMLParseError` when exceeded, before more memory is
-    committed.
-    """
-    cursor = _Cursor(text)
-    _parse_misc(cursor)
-    if not cursor.startswith("<"):
-        raise XMLParseError("document has no root element", cursor.pos)
-
-    emitted = 0
-
-    def emit(event: Event) -> Event:
-        nonlocal emitted
-        emitted += 1
-        if max_events is not None and emitted > max_events:
-            raise XMLParseError(
-                f"event budget of {max_events} exceeded", cursor.pos
-            )
-        return event
-
-    open_tags: list[str] = []
-    while True:
-        if not open_tags:
-            if cursor.startswith("<"):
-                yield from _parse_element_events(
-                    cursor,
-                    open_tags,
-                    emit,
-                    keep_whitespace=keep_whitespace,
-                    keep_comments=keep_comments,
-                )
-                break
-            raise XMLParseError("expected an element", cursor.pos)
-    _parse_misc(cursor)
-    cursor.skip_whitespace()
-    if not cursor.eof():
-        raise XMLParseError("content after the root element", cursor.pos)
-
-
-def _parse_element_events(
-    cursor: _Cursor,
-    open_tags: list[str],
-    emit,
-    *,
-    keep_whitespace: bool,
-    keep_comments: bool,
-) -> Iterator[Event]:
-    cursor.expect("<")
-    tag = cursor.read_name()
-    yield emit(("start", tag))
-    open_tags.append(tag)
-
-    # Attributes.
-    seen: set[str] = set()
-    while True:
-        cursor.skip_whitespace()
-        if cursor.eof() or cursor.peek() in (">", "/"):
-            break
-        name_pos = cursor.pos
-        name = cursor.read_name()
-        if name in seen:
-            raise XMLParseError(f"duplicate attribute {name!r}", name_pos)
-        seen.add(name)
-        cursor.skip_whitespace()
-        cursor.expect("=")
-        cursor.skip_whitespace()
-        quote = cursor.peek()
-        if quote not in ("'", '"'):
-            raise XMLParseError("attribute value must be quoted", cursor.pos)
-        cursor.advance()
-        value_pos = cursor.pos
-        raw = cursor.read_until(quote, "unterminated attribute value")
-        yield emit(("attribute", (name, _decode_entities(raw, value_pos))))
-
-    cursor.skip_whitespace()
-    if cursor.startswith("/>"):
-        cursor.advance(2)
-        open_tags.pop()
-        yield emit(("end", tag))
-        return
-    cursor.expect(">")
-
-    while True:
-        if cursor.eof():
-            raise XMLParseError(f"unclosed element <{tag}>", cursor.pos)
-        if cursor.startswith("</"):
-            cursor.advance(2)
-            close_pos = cursor.pos
-            closing = cursor.read_name()
-            if closing != tag:
-                raise XMLParseError(
-                    f"mismatched closing tag </{closing}> for <{tag}>",
-                    close_pos,
-                )
-            cursor.skip_whitespace()
-            cursor.expect(">")
-            open_tags.pop()
-            yield emit(("end", tag))
-            return
-        if cursor.startswith("<!--"):
-            cursor.advance(4)
-            body = cursor.read_until("-->", "unterminated comment")
-            if keep_comments:
-                yield emit(("comment", body))
-            continue
-        if cursor.startswith("<![CDATA["):
-            cursor.advance(9)
-            body = cursor.read_until("]]>", "unterminated CDATA section")
-            yield emit(("text", body))
-            continue
-        if cursor.startswith("<?"):
-            cursor.advance(2)
-            cursor.read_until("?>", "unterminated processing instruction")
-            continue
-        if cursor.startswith("<"):
-            yield from _parse_element_events(
-                cursor,
-                open_tags,
-                emit,
-                keep_whitespace=keep_whitespace,
-                keep_comments=keep_comments,
-            )
-            continue
-        text_pos = cursor.pos
-        end = cursor.text.find("<", cursor.pos)
-        if end < 0:
-            raise XMLParseError(f"unclosed element <{tag}>", cursor.pos)
-        raw = cursor.text[cursor.pos : end]
-        cursor.pos = end
-        content = _decode_entities(raw, text_pos)
-        if keep_whitespace or content.strip():
-            yield emit(("text", content))
 
 
 def build_from_events(events: Iterable[Event], name: str = "document") -> Document:

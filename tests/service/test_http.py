@@ -91,6 +91,12 @@ class TestDocumentLifecycle:
         )
         assert status == 400  # duplicate id
 
+    @pytest.mark.parametrize("xml", ["<a>&#xD800;</a>", "<a>\ud800</a>"])
+    def test_create_with_a_character_xml_forbids_is_400(self, server, xml):
+        status, payload = call(server, "POST", "/docs", {"xml": xml})
+        assert status == 400
+        assert payload["error"] == "XMLParseError"
+
     def test_list_and_single_stats(self, server):
         doc = create(server)
         status, listing = call(server, "GET", "/docs")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ServiceCrashed, SimulatedCrash
+from repro.errors import ServiceCrashed, SimulatedCrash, XMLParseError
 from repro.faults import FAULTS, FaultPlan
 from repro.service import DocumentRegistry, UpdateRequest
 from repro.verify import verify_integrity
@@ -146,3 +146,49 @@ def test_crash_in_deferred_checkpoint_keeps_the_durable_batch(
     newest = checkpoint_files(handle.wal_dir)[0][1]
     assert healed.bundle_bytes == newest.stat().st_size
     assert logical_state(handle.engine.labeled) == acked_state
+
+
+@pytest.mark.parametrize(
+    "xml", ["<b>&#xDC00;</b>", "<b>\udc00</b>", "<b t='&#0;'/>", "<b>\x01</b>"]
+)
+def test_insert_of_a_character_xml_forbids_is_refused(handle, monkeypatch, xml):
+    # An acked lone surrogate made every later checkpoint fail to encode
+    # the document as UTF-8 while its record stayed in the log, so each
+    # batch crashed the writer again; a C0 control is no XML text either.
+    monkeypatch.setattr("repro.wal.writer.CHECKPOINT_MIN_LOG_BYTES", 1)
+    writer = handle.writer
+    wal = handle.engine.wal
+    before = logical_state(handle.engine.labeled)
+    refused = UpdateRequest(op={"kind": "insert_child", "parent": 0, "xml": xml})
+    writer.apply_batch([refused])
+    with pytest.raises(XMLParseError, match="not allowed|bad character"):
+        refused.future.result(timeout=0)
+    assert writer.commits_acked == 0
+    assert wal.next_lsn == 1  # nothing of it reached the log
+    assert logical_state(handle.engine.labeled) == before
+
+    # The next batch is acked and its deferred checkpoint (due: the log
+    # outgrows the seed's bundle) runs without quarantining anything.
+    filler = "x" * (2 * wal.bundle_bytes)
+    kept = UpdateRequest(
+        op={"kind": "insert_child", "parent": 0, "xml": f"<kept>{filler}</kept>"}
+    )
+    writer.apply_batch([kept])
+    assert kept.future.result(timeout=0)["version"] == 1
+    assert writer.status == "serving"
+    assert writer.recoveries == 0
+    assert checkpoint_files(handle.wal_dir)[0][0] == 1
+    assert wal.bytes_since_checkpoint == 0
+    report = recover(handle.wal_dir)
+    assert logical_state(report.labeled) == logical_state(handle.engine.labeled)
+
+
+def test_create_with_a_character_xml_forbids_is_a_parse_error(tmp_path):
+    registry = DocumentRegistry(str(tmp_path))
+    try:
+        with pytest.raises(XMLParseError) as info:
+            registry.create("<a>&#xD800;</a>", "V-CDBS-Containment")
+        assert info.value.position == 3
+        assert registry.ids() == []
+    finally:
+        registry.close(timeout=5.0)

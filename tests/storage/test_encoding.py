@@ -334,6 +334,65 @@ class TestLabelStreams:
         original = [labeled.label_of(n) for n in labeled.nodes_in_order]
         assert _labels_equal(scheme, original, decoded)
 
+    @staticmethod
+    def _vcdbs():
+        scheme = make_scheme("V-CDBS-Containment")
+        scheme.label_document(make_small_document(seed=37, size=40))
+        return scheme, make_label_codec(scheme)
+
+    def test_vcdbs_lengths_on_both_sides_of_the_escape(self):
+        from repro.labeling.containment import ContainmentLabel
+
+        scheme, codec = self._vcdbs()
+        field = scheme.codec.field_bits
+        escape = (1 << field) - 1
+        codes = [
+            BitString.from_str("10" * (n // 2) + "1" * (n % 2))
+            for n in (1, escape, escape + 1, (1 << 16) - 1)
+        ]
+        labels = [ContainmentLabel(a, b, 7) for a in codes for b in codes]
+        # The oracle: each field written on its own, as the format reads.
+        expected = BitWriter()
+        expected.write(len(labels), 32)
+        for label in labels:
+            for code in (label.start, label.end):
+                if len(code) - 1 < escape:
+                    expected.write(len(code) - 1, field)
+                else:
+                    expected.write(escape, field)
+                    expected.write(len(code), 16)
+                expected.write_bitstring(code)
+            expected.write(label.level, 8)
+        blob = codec.encode(labels)
+        assert blob == expected.to_bytes()
+        decoded = codec.decode(blob)
+        assert [(d.start, d.end, d.level) for d in decoded] == [
+            (label.start, label.end, label.level) for label in labels
+        ]
+
+    @pytest.mark.parametrize(
+        "start,end,level,message",
+        [
+            ("", "1", 1, "never empty"),
+            ("1", "", 1, "never empty"),
+            ("1" * (1 << 16), "1", 1, "escaped length field"),
+            ("1", "1" * (1 << 16), 1, "escaped length field"),
+            ("1", "11", 256, "exceeds one byte"),
+            ("1", "11", -1, "exceeds one byte"),
+        ],
+    )
+    def test_vcdbs_refuses_what_the_format_cannot_hold(
+        self, start, end, level, message
+    ):
+        from repro.labeling.containment import ContainmentLabel
+
+        _, codec = self._vcdbs()
+        label = ContainmentLabel(
+            BitString.from_str(start), BitString.from_str(end), level
+        )
+        with pytest.raises(InvalidCodeError, match=message):
+            codec.encode([label])
+
     def test_truncated_stream_rejected(self):
         document = make_small_document(seed=31, size=60)
         scheme = make_scheme("QED-Containment")

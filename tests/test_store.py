@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.store import StoreError, XmlStore
-from repro.xmltree import Node
+from repro.xmltree import Document, Node
 
 
 @pytest.fixture()
@@ -133,6 +133,20 @@ class TestPersistence:
         # Reloaded stores keep absorbing updates without re-labels.
         reloaded.insert_xml("//speech", "<line>y</line>")
         assert reloaded.totals.relabeled_nodes == 0
+
+    def test_code_built_values_survive_save_and_load(self, tmp_path):
+        # Whatever a node accepts (here each end of XML's Char ranges)
+        # the bundle's parser reads back.
+        value = "x\t\n\r \ud7ff\ue000\ufffd\U00010000\U0010ffff"
+        root = Node.element("r")
+        root.append_child(Node.attribute("t", value))
+        root.append_child(Node.text(value))
+        store = XmlStore(scheme="V-CDBS-Containment")
+        store.add_document(Document(root), name="d")
+        store.save(tmp_path)
+        reloaded = XmlStore.load(tmp_path)
+        assert reloaded.export_xml("d") == store.export_xml("d")
+        assert reloaded.document("d").root.children[1].value == value
 
     def test_load_empty_directory(self, tmp_path):
         with pytest.raises(StoreError):

@@ -122,6 +122,27 @@ class TestAdjacentText:
         assert verify_integrity(report.labeled) == []
 
 
+class TestCodeBuiltValues:
+    """Whatever a node built in code may hold (here each end of XML's
+    Char ranges) is logged, replayed and checkpointed."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_insert_replays_and_checkpoints(self, scheme, tmp_path):
+        value = "x\t\n\r \ud7ff\ue000\ufffd\U00010000\U0010ffff"
+        engine = mixed_content_engine(scheme, tmp_path, "<r><a/></r>")
+        subtree = Node.element("x")
+        subtree.append_child(Node.attribute("t", value))
+        subtree.append_child(Node.text(value))
+        engine.insert_child(element(engine, "a"), subtree)
+        report = recover(tmp_path)
+        assert (report.watermark, report.replayed) == (0, 1)
+        assert logical_state(report.labeled) == logical_state(engine.labeled)
+        engine.wal.checkpoint()
+        report = recover(tmp_path)
+        assert (report.watermark, report.replayed) == (1, 0)
+        assert logical_state(report.labeled) == logical_state(engine.labeled)
+
+
 class TestTornTail:
     def test_torn_tail_recovers_the_valid_prefix(self, tmp_path):
         engine = build_wal_engine(SCHEMES[0], tmp_path)

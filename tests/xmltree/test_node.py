@@ -50,6 +50,36 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Node(NodeKind.TEXT, "#text", None)
 
+    @pytest.mark.parametrize(
+        "character", ["\x00", "\x01", "\x1f", "\ud800", "\udfff", "\uffff"]
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [Node.text, Node.comment, lambda value: Node.attribute("t", value)],
+        ids=["text", "comment", "attribute"],
+    )
+    def test_character_xml_does_not_allow_rejected(self, build, character):
+        # No parser could read such a value back from a bundle or a log.
+        with pytest.raises(ValueError, match="not allowed in XML"):
+            build(f"ok{character}")
+
+    def test_parser_constructor_sets_every_slot(self):
+        # The parser's unvalidated constructor must keep up with the
+        # slots the public one sets.
+        parent = Node.element("p")
+        parent.append_child(Node.element("a"))
+        node = Node._appended(parent, NodeKind.TEXT, "#text", "x")
+        assert all(hasattr(node, slot) for slot in Node.__slots__)
+        assert parent.children == [parent.children[0], node]
+        assert node.parent is parent and node._index_hint == 1
+        root = Node._appended(None, NodeKind.ELEMENT, "r")
+        assert all(hasattr(root, slot) for slot in Node.__slots__)
+        assert root.parent is None and root.children == []
+
+    def test_every_char_production_range_accepted(self):
+        value = "\t\n\r \ud7ff\ue000\ufffd\U00010000\U0010ffff"
+        assert Node.text(value).value == value
+
 
 class TestStructureEdits:
     def test_append_sets_parent(self, small_tree):
